@@ -198,6 +198,10 @@ def main(argv: list[str] | None = None) -> int:
     except DownscaleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        # an unwritable --out, --save-model, --outlier-report or manifest path
+        print(f"error: {args.command}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -165,18 +165,17 @@ def load_coarse_csv(path: str | Path, schemas: list[FeatureSchema]) -> CoarseTab
     units = []
     for row in rows:
         unit_id = row["unit_id"]
-        try:
-            population = int(row["population"])
-        except (TypeError, ValueError):
-            raise DataError(f"load_coarse_csv: bad population {row['population']!r} in unit {unit_id!r}")
+        population = _parse_cell(int, row["population"], "load_coarse_csv", "population", unit_id)
         values: dict[str, np.ndarray | float] = {}
         for sc in schemas:
             if sc.is_categorical:
                 class_cols = [f"{sc.name}:{c}" for c in sc.classes]
                 if all(col in header for col in class_cols):
-                    values[sc.name] = np.array([_parse_float(row[c], c, unit_id) for c in class_cols])
+                    values[sc.name] = np.array(
+                        [_parse_cell(float, row[c], "load_coarse_csv", c, unit_id) for c in class_cols]
+                    )
                 elif sc.n_classes == 2 and sc.name in header:
-                    p = _parse_float(row[sc.name], sc.name, unit_id)
+                    p = _parse_cell(float, row[sc.name], "load_coarse_csv", sc.name, unit_id)
                     values[sc.name] = np.array([p, 1.0 - p])
                 else:
                     raise DataError(
@@ -186,16 +185,24 @@ def load_coarse_csv(path: str | Path, schemas: list[FeatureSchema]) -> CoarseTab
             else:
                 if sc.name not in header:
                     raise DataError(f"load_coarse_csv: no column for continuous feature {sc.name!r}")
-                values[sc.name] = _parse_float(row[sc.name], sc.name, unit_id)
+                values[sc.name] = _parse_cell(float, row[sc.name], "load_coarse_csv", sc.name, unit_id)
         units.append(validate_unit(AggregationUnit(unit_id, population, values), schemas))
     return CoarseTable(units)
 
 
-def _parse_float(text, column, unit_id) -> float:
+def _parse_cell(convert, text, where, column, unit_id):
     try:
-        return float(text)
+        return convert(text)
     except (TypeError, ValueError):
-        raise DataError(f"load_coarse_csv: bad value {text!r} in column {column!r}, unit {unit_id!r}")
+        raise DataError(f"{where}: bad value {text!r} in column {column!r}, unit {unit_id!r}") from None
+
+
+def _parse_column(convert, rows, column, where, unit_id) -> list:
+    try:
+        return [convert(row[column]) for row in rows]
+    except (TypeError, ValueError):
+        # second, per-cell pass only to name the bad cell
+        return [_parse_cell(convert, row[column], where, column, unit_id) for row in rows]
 
 
 def write_coarse_csv(path: str | Path, coarse: CoarseTable, schemas: list[FeatureSchema]) -> None:
@@ -262,7 +269,11 @@ def write_individual_csv(path: str | Path, table: IndividualTable, schemas: list
 
 
 def load_individual_csv(path: str | Path, schemas: list[FeatureSchema]) -> IndividualTable:
-    """Read a finalized individual table written by write_individual_csv."""
+    """Read a finalized individual table written by write_individual_csv.
+
+    A cell that does not parse, or a ``person_index`` repeated within a
+    unit, raises ``DataError`` naming the file, the column and the value.
+    """
     path = Path(path)
     if not path.exists():
         raise DataError(f"load_individual_csv: no such file {path}")
@@ -287,8 +298,13 @@ def load_individual_csv(path: str | Path, schemas: list[FeatureSchema]) -> Indiv
             grouped[uid] = []
             order.append(uid)
         grouped[uid].append(row)
+    where = f"load_individual_csv: {path}"
     for uid in order:
-        unit_rows = sorted(grouped[uid], key=lambda r: int(r["person_index"]))
+        indices = _parse_column(int, grouped[uid], "person_index", where, uid)
+        if len(set(indices)) != len(indices):
+            repeated = sorted({i for i in indices if indices.count(i) > 1})
+            raise DataError(f"{where}: duplicate person_index {repeated[:5]} in unit {uid!r}")
+        unit_rows = [r for _, r in sorted(zip(indices, grouped[uid]), key=lambda pair: pair[0])]
         n = len(unit_rows)
         columns: dict[str, np.ndarray] = {}
         for sc in schemas:
@@ -304,6 +320,6 @@ def load_individual_csv(path: str | Path, schemas: list[FeatureSchema]) -> Indiv
                     idx[k] = lookup[label]
                 columns[sc.name] = idx
             else:
-                columns[sc.name] = np.array([float(row[sc.name]) for row in unit_rows])
+                columns[sc.name] = np.array(_parse_column(float, unit_rows, sc.name, where, uid))
         blocks.append(UnitBlock(uid, n, columns))
     return IndividualTable(blocks)

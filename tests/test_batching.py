@@ -3,6 +3,7 @@ import pytest
 
 from downscale import (
     DataError,
+    EstimationError,
     IndividualTable,
     UnitBlock,
     extend_with_batch,
@@ -11,8 +12,9 @@ from downscale import (
     partition_batches,
     sample_joint_batch,
 )
-from downscale.batching import core_input_matrix, softmax_loss_and_grad
-from downscale.rng import RngFactory, stream
+from downscale import batching
+from downscale.batching import GRAD_TOL, MAX_ITER, core_input_matrix, softmax_hessian, softmax_loss_and_grad
+from downscale.rng import RngFactory, draw_rows, stream
 from conftest import make_coarse, make_schemas
 
 
@@ -85,11 +87,15 @@ def softmax_rows(x, w):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def make_k_table(x_probs, target_probs, n_per_unit=None):
-    """One-unit K table: binary core feature 'a' with given probability rows."""
+def make_k_table(x_probs, target_probs, core=None):
+    """One-unit K table: core features (default: one feature 'a') side by side in ``x_probs``."""
     n = x_probs.shape[0]
-    block = UnitBlock("u", n, {"a": x_probs, "t": target_probs})
-    return IndividualTable([block])
+    columns, j = {}, 0
+    for sc in core or make_schemas([("a", x_probs.shape[1], 0)]):
+        columns[sc.name] = x_probs[:, j:j + sc.n_classes]
+        j += sc.n_classes
+    columns["t"] = target_probs
+    return IndividualTable([UnitBlock("u", n, columns)])
 
 
 def test_predictor_independent_target_matches_frequencies():
@@ -194,6 +200,70 @@ def test_gradient_matches_finite_differences(rng):
                             - softmax_loss_and_grad(wm, x, onehot)[0]) / (2 * h)
         rel = np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-12)
         assert rel < 1e-5
+
+
+def test_hessian_matches_finite_differences_of_gradient(rng, monkeypatch):
+    monkeypatch.setattr(batching, "HESSIAN_CHUNK_ROWS", 5)  # 12 rows: three uneven chunks
+    for trial in range(3):
+        n, c, p = 12, 3, 4
+        x = np.hstack([rng.standard_normal((n, p)), np.ones((n, 1))])
+        onehot = np.zeros((n, c))
+        onehot[np.arange(n), rng.integers(0, c, n)] = 1.0
+        w = rng.standard_normal((c, p + 1)) * 0.5
+        hess = softmax_hessian(w, x)
+        h = 1e-6
+        fd = np.zeros_like(hess)
+        for k in range(w.size):
+            wp, wm = w.copy(), w.copy()
+            wp.flat[k] += h
+            wm.flat[k] -= h
+            fd[:, k] = (softmax_loss_and_grad(wp, x, onehot)[1]
+                        - softmax_loss_and_grad(wm, x, onehot)[1]).ravel() / (2 * h)
+        assert np.linalg.norm(hess - fd) / np.linalg.norm(fd) < 1e-6
+
+
+def hard_target_fit(p_core, core, target, y, max_iter=MAX_ITER):
+    """Fit on one-hot targets with categorical-only inputs, so the design is known."""
+    n, c = p_core.shape[0], target.n_classes
+    onehot = np.zeros((n, c))
+    onehot[np.arange(n), y] = 1.0
+    pred = fit_predictor(make_k_table(p_core, onehot, core), core, target, stream(7, "pred", "t"),
+                         max_iter=max_iter)
+    xb = np.hstack([p_core, np.ones((n, 1))])
+    return pred, softmax_loss_and_grad(pred.weights, xb, onehot)[1]
+
+
+def test_predictor_converges_on_thirteen_classes(rng):
+    n = 300
+    core = make_schemas([("a", 3, 0), ("b", 6, 0)])
+    target = make_schemas([("a", 3, 0), ("t", 13, 1)])[1]
+    p_core = np.hstack([rng.dirichlet(np.ones(3), size=n), rng.dirichlet(np.ones(6), size=n)])
+    scores = p_core @ rng.standard_normal((9, 13)) * 3.0
+    y = draw_rows(np.exp(scores) / np.exp(scores).sum(axis=1, keepdims=True), rng.random(n))
+    pred, grad = hard_target_fit(p_core, core, target, y)
+    assert pred.kind == "softmax" and pred.weights.shape == (13, 10)
+    assert np.linalg.norm(grad) < GRAD_TOL
+
+
+def test_predictor_converges_on_collinear_soft_core(rng):
+    # the soft class columns of 'a' sum to one, collinear with the bias column
+    n = 500
+    core = make_schemas([("a", 2, 0)])
+    target = make_schemas([("a", 2, 0), ("t", 2, 1)])[1]
+    p_core = rng.dirichlet((2.0, 2.0), size=n)
+    y = (rng.random(n) < 0.2 + 0.6 * p_core[:, 0]).astype(np.int64)
+    _, grad = hard_target_fit(p_core, core, target, y)
+    assert np.linalg.norm(grad) < GRAD_TOL
+
+
+def test_predictor_iteration_cap_raises(rng):
+    n = 300
+    core = make_schemas([("a", 2, 0)])
+    target = make_schemas([("a", 2, 0), ("t", 3, 1)])[1]
+    p_core = rng.dirichlet((2.0, 2.0), size=n)
+    y = draw_rows(np.column_stack([p_core[:, 0], p_core[:, 1] * 0.5, p_core[:, 1] * 0.5]), rng.random(n))
+    with pytest.raises(EstimationError, match=r"'t' did not converge in 1 Newton iterations .*gradient norm"):
+        hard_target_fit(p_core, core, target, y, max_iter=1)
 
 
 def test_softmax_rows_sum_to_one(rng):

@@ -157,3 +157,71 @@ def test_match_absent_unit_fails(fixture_paths, capsys):
     ])
     assert code == 1
     assert "absent from pool" in capsys.readouterr().err
+
+
+def _rewrite_first_rows(path, edit):
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",")
+    rows = [line.split(",") for line in lines[1:]]
+    edit(header, rows)
+    path.write_text("\n".join([",".join(header)] + [",".join(r) for r in rows]) + "\n")
+
+
+def _bad_person_index(header, rows):
+    rows[1][header.index("person_index")] = "x"
+
+
+def _bad_continuous_value(header, rows):
+    rows[1][header.index("spend")] = "abc"
+
+
+def _duplicate_person_index(header, rows):
+    k = header.index("person_index")
+    rows[1][k] = rows[0][k]
+
+
+@pytest.mark.parametrize("command", ["evaluate", "match"])
+@pytest.mark.parametrize("corrupt, expected", [
+    (_bad_person_index, "bad value 'x' in column 'person_index'"),
+    (_bad_continuous_value, "bad value 'abc' in column 'spend'"),
+    (_duplicate_person_index, "duplicate person_index"),
+], ids=["bad-index", "bad-value", "duplicate-index"])
+def test_malformed_individual_csv_is_a_clean_error(fixture_paths, capsys, command, corrupt, expected):
+    tmp_path, schema_path, coarse_path, _ = fixture_paths
+    _, out = run_generate(tmp_path, schema_path, coarse_path, "pool.csv")
+    _rewrite_first_rows(out, corrupt)
+    query = tmp_path / "query.json"
+    query.write_text(json.dumps({"unit_id": "u0000", "attributes": {"age": "mid"}}))
+    args = {
+        "evaluate": ["evaluate", "--schema", str(schema_path), "--truth", str(out), "--generated", str(out)],
+        "match": ["match", "--schema", str(schema_path), "--pool", str(out), "--query", str(query)],
+    }[command]
+    capsys.readouterr()
+    assert main(args) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: load_individual_csv:")
+    assert "pool.csv" in err[0] and expected in err[0]
+
+
+@pytest.mark.parametrize("flag", ["--out", "--save-model", "--outlier-report"])
+def test_generate_unwritable_output_is_a_clean_error(fixture_paths, capsys, flag):
+    tmp_path, schema_path, coarse_path, _ = fixture_paths
+    missing = str(tmp_path / "no_such_dir" / "file")
+    extra = [flag, missing] if flag != "--out" else []
+    out = missing if flag == "--out" else str(tmp_path / "people.csv")
+    code = main(["generate", "--coarse", str(coarse_path), "--schema", str(schema_path),
+                 "--out", out, *extra])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: generate:") and "no_such_dir" in err[0]
+
+
+def test_evaluate_unwritable_report_is_a_clean_error(fixture_paths, capsys):
+    tmp_path, schema_path, coarse_path, _ = fixture_paths
+    _, out = run_generate(tmp_path, schema_path, coarse_path, "gen.csv")
+    capsys.readouterr()
+    code = main(["evaluate", "--schema", str(schema_path), "--truth", str(out),
+                 "--generated", str(out), "--out", str(tmp_path / "no_such_dir" / "r.csv")])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: evaluate:") and "no_such_dir" in err[0]

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from downscale import (
     integerize_budget,
     parse_schema,
 )
+from downscale import pipeline
 from downscale.copula import load_model, save_model
 from conftest import make_coarse, make_schemas
 
@@ -138,7 +141,7 @@ def test_supplied_model_must_match_units(tmp_path):
         generate(other, schemas, seed=1, model=result.model, predictors=result.predictors)
 
 
-def test_errors_carry_phase_names():
+def test_errors_carry_phase_names(monkeypatch):
     schemas = make_schemas([("x", None, 0), ("a", 2, 0)])
     units = [
         AggregationUnit(f"u{i}", 10, {"x": 0.0, "a": np.array([0.4, 0.6])})
@@ -146,6 +149,11 @@ def test_errors_carry_phase_names():
     ]
     with pytest.raises(EstimationError, match="phase2/copula"):
         generate(CoarseTable(units), schemas, seed=0)
+    # a predictor that cannot converge within its iteration cap
+    schemas = make_schemas([("a", 3, 0), ("t", 4, 1)])
+    monkeypatch.setattr(pipeline, "fit_predictor", functools.partial(pipeline.fit_predictor, max_iter=1))
+    with pytest.raises(EstimationError, match=r"^phase3/batches: fit_predictor: target 't' did not converge"):
+        generate(make_coarse(schemas, [20] * 12), schemas, seed=0)
 
 
 def test_invalid_sd_mode_rejected():
