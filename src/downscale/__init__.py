@@ -20,7 +20,6 @@ from .copula import (
     CopulaModel,
     CorrelationMatrix,
     MarginalSpec,
-    copula_sample_unit,
     estimate_correlation,
     fit_copula,
     fit_unit_marginals,

@@ -48,7 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--phase3", choices=["distribution", "argmax"], default="distribution")
     gen.add_argument("--max-train-rows", type=int, default=800,
                      help="predictor training sample cap (0 disables the cap)")
-    gen.add_argument("--jobs", type=int, default=1, help="unit-level worker threads")
     gen.add_argument("--outlier-report", help="write per-unit outlier scores to this CSV")
     gen.add_argument("--save-model", help="serialize the fitted model and predictors to this JSON")
     gen.add_argument("--load-model", help="reuse a previously saved model instead of refitting")
@@ -91,7 +90,6 @@ def cmd_generate(args) -> int:
         contamination=args.contamination,
         phase3_mode=args.phase3,
         max_train_rows=args.max_train_rows or None,
-        jobs=args.jobs,
         model=model,
         predictors=predictors,
     )

@@ -4,9 +4,10 @@ The dependency structure across coordinates (class proportions and
 continuous means) is a correlation matrix estimated across aggregation
 units and repaired to positive definiteness.  Marginals are solved per
 unit from aggregate moments: beta for proportion coordinates, lognormal
-for positive continuous ones.  Sampling a unit draws correlated normals
-through the Cholesky factor, maps them to uniforms with the normal CDF
-and applies each coordinate's marginal quantile function.
+for continuous ones (a mean of exactly 0 is a point mass at 0).  Sampling
+a unit draws correlated normals through the Cholesky factor, maps them to
+uniforms with the normal CDF and applies each coordinate's marginal
+quantile function.
 """
 
 from __future__ import annotations
@@ -82,14 +83,6 @@ class MarginalSpec:
     mean: float
     sd: float
 
-    def quantile(self, u: np.ndarray) -> np.ndarray:
-        u = np.clip(u, _U_CLIP, 1.0 - _U_CLIP)
-        if self.kind == BETA:
-            return betaincinv(self.a, self.b, u)
-        if self.b == 0.0:
-            return np.full_like(np.asarray(u, dtype=float), math.exp(self.a))
-        return np.exp(self.a + self.b * ndtri(u))
-
     def cdf(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self.kind == BETA:
@@ -127,19 +120,22 @@ class CopulaModel:
                 raise EstimationError(f"copula model: unit {unit_id!r} missing marginals")
 
 
-def solve_beta(mean: float, sd: float) -> tuple[float, float]:
-    """Solve beta parameters from mean and standard deviation.
+def solve_beta(mean, sd):
+    """Solve beta parameters from mean and standard deviation, elementwise.
 
     alpha/(alpha+beta) = mean and alpha*beta/((alpha+beta)^2 (alpha+beta+1))
     = variance, with the variance clamped into the feasible range
-    [1e-6, 0.999 * mean * (1 - mean)].
+    [1e-6, 0.999 * mean * (1 - mean)].  Scalars give numpy float64 scalars;
+    arrays broadcast.
     """
-    if not 0.0 < mean < 1.0:
-        raise EstimationError(f"solve_beta: mean {mean} outside (0, 1)")
-    if sd < 0.0:
-        raise EstimationError(f"solve_beta: negative sd {sd}")
-    ceil = _VAR_CEIL_FACTOR * mean * (1.0 - mean)
-    var = min(max(sd * sd, _VAR_FLOOR), ceil)
+    mean = np.asarray(mean, dtype=float)
+    sd = np.asarray(sd, dtype=float)
+    bad = ~((mean > 0.0) & (mean < 1.0))
+    if bad.any():
+        raise EstimationError(f"solve_beta: mean {float(mean[bad].flat[0])} outside (0, 1)")
+    if (sd < 0.0).any():
+        raise EstimationError(f"solve_beta: negative sd {float(sd[sd < 0.0].flat[0])}")
+    var = np.minimum(np.maximum(sd * sd, _VAR_FLOOR), _VAR_CEIL_FACTOR * mean * (1.0 - mean))
     t = mean * (1.0 - mean) / var - 1.0
     return mean * t, (1.0 - mean) * t
 
@@ -148,12 +144,15 @@ def solve_lognormal(mean: float, sd: float) -> tuple[float, float]:
     """Solve (mu_log, sigma_log) from mean and standard deviation.
 
     sigma_log^2 = ln(1 + sd^2/mean^2), mu_log = ln(mean) - sigma_log^2/2;
-    the implied mean is exact, sd = 0 yields a point mass at the mean.
+    the implied mean is exact, sd = 0 yields a point mass at the mean.  A
+    mean of exactly 0 is a point mass at 0: (-inf, 0.0).
     """
-    if mean <= 0.0:
-        raise EstimationError(f"solve_lognormal: mean {mean} must be positive")
+    if mean < 0.0:
+        raise EstimationError(f"solve_lognormal: negative mean {mean}")
     if sd < 0.0:
         raise EstimationError(f"solve_lognormal: negative sd {sd}")
+    if mean == 0.0:
+        return -math.inf, 0.0
     sigma_sq = math.log1p((sd / mean) ** 2)
     return math.log(mean) - 0.5 * sigma_sq, math.sqrt(sigma_sq)
 
@@ -248,44 +247,32 @@ def fit_unit_marginals(
     All units receive marginals, flagged or not.
     """
     coords = coordinates(schemas)
-    n_units = len(coarse.units)
     pooled = np.array([pooled_sigma[c.label] for c in coords])
-    beta_mask = np.array([c.class_label is not None for c in coords])
+    means = coarse_value_matrix(coarse, schemas)
+    populations = np.array([u.population for u in coarse.units], dtype=float)[:, None]
+    if sd_mode == "paper":
+        sigmas = pooled * math.sqrt(len(coarse.units)) * np.sqrt(populations)
+    elif sd_mode == "sqrt_n":
+        sigmas = pooled * np.sqrt(populations)
+    elif sd_mode == "pooled":
+        sigmas = np.broadcast_to(pooled, means.shape)
+    else:
+        raise EstimationError(f"unknown sd_mode {sd_mode!r} (expected one of {SD_MODES})")
+    kinds = [BETA if c.class_label is not None else LOGNORMAL for c in coords]
+    beta = np.array(kinds) == BETA
+    half_count = 1.0 / (2.0 * populations)
+    means[:, beta] = np.clip(means[:, beta], half_count, 1.0 - half_count)
+    alphas = np.zeros_like(means)
+    betas = np.zeros_like(means)
+    alphas[:, beta], betas[:, beta] = solve_beta(means[:, beta], sigmas[:, beta])
     out: dict[str, list[MarginalSpec]] = {}
-    for unit in coarse.units:
-        half_count = 1.0 / (2.0 * unit.population)
-        means = np.empty(len(coords))
-        j = 0
-        for sc in schemas:
-            if sc.is_categorical:
-                means[j : j + sc.n_classes] = unit.values[sc.name]
-                j += sc.n_classes
-            else:
-                means[j] = unit.values[sc.name]
-                j += 1
-        if sd_mode == "paper":
-            sigmas = pooled * math.sqrt(n_units) * math.sqrt(unit.population)
-        elif sd_mode == "sqrt_n":
-            sigmas = pooled * math.sqrt(unit.population)
-        elif sd_mode == "pooled":
-            sigmas = pooled.copy()
-        else:
-            raise EstimationError(f"unknown sd_mode {sd_mode!r} (expected one of {SD_MODES})")
-        # vectorized solve_beta over the proportion coordinates
-        mu = np.clip(means[beta_mask], half_count, 1.0 - half_count)
-        var = np.minimum(np.maximum(sigmas[beta_mask] ** 2, _VAR_FLOOR), _VAR_CEIL_FACTOR * mu * (1.0 - mu))
-        t = mu * (1.0 - mu) / var - 1.0
-        alphas = mu * t
-        betas = (1.0 - mu) * t
-        specs: list[MarginalSpec] = []
-        k = 0
-        for j, coord in enumerate(coords):
-            if beta_mask[j]:
-                specs.append(MarginalSpec(BETA, float(alphas[k]), float(betas[k]), float(mu[k]), float(sigmas[j])))
-                k += 1
-            else:
-                mu_log, sigma_log = solve_lognormal(float(means[j]), float(sigmas[j]))
-                specs.append(MarginalSpec(LOGNORMAL, mu_log, sigma_log, float(means[j]), float(sigmas[j])))
+    rows = zip(coarse.units, means.tolist(), sigmas.tolist(), alphas.tolist(), betas.tolist())
+    for unit, mean_row, sd_row, a_row, b_row in rows:
+        specs = []
+        for kind, mean, sd, a, b in zip(kinds, mean_row, sd_row, a_row, b_row):
+            if kind == LOGNORMAL:
+                a, b = solve_lognormal(mean, sd)
+            specs.append(MarginalSpec(kind, a, b, mean, sd))
         out[unit.unit_id] = specs
     return out
 
@@ -316,48 +303,20 @@ def fit_copula(
     return CopulaModel(coords, correlation, marginals, sigma, populations, sd_mode)
 
 
-def sample_unit_coordinates(
-    model: CopulaModel, unit_id: str, rng: np.random.Generator, n: int | None = None
-) -> np.ndarray:
-    """Raw coordinate draws for one unit: an (n, dim) array.
+def _draw_coordinates(model: CopulaModel, unit_ids: list[str], rng_for_unit) -> tuple[np.ndarray, list[int]]:
+    """Stacked raw coordinate draws for ``unit_ids`` plus each unit's row count.
 
-    Each row is F_d^{-1}(Phi(Z_d)) for a correlated normal vector Z drawn
-    through the Cholesky factor.
-    """
-    if unit_id not in model.marginals:
-        raise DataError(f"copula_sample_unit: unknown unit {unit_id!r}")
-    n = model.populations[unit_id] if n is None else n
-    dim = len(model.coordinates)
-    z = rng.standard_normal((n, dim)) @ model.correlation.cholesky_factor.T
-    u = ndtr(z)
-    out = np.empty_like(u)
-    for j, spec in enumerate(model.marginals[unit_id]):
-        out[:, j] = spec.quantile(u[:, j])
-    if not np.all(np.isfinite(out)):
-        raise EstimationError(f"copula_sample_unit: non-finite draws for unit {unit_id!r}")
-    return out
-
-
-def sample_all_units(
-    model: CopulaModel,
-    schemas: list[FeatureSchema],
-    unit_ids: list[str],
-    rng_for_unit,
-) -> list[UnitBlock]:
-    """Sample every unit at once, batching the marginal transforms.
-
-    Each unit draws its own correlated normals from ``rng_for_unit(unit_id)``
-    exactly as copula_sample_unit does; the per-coordinate quantile maps are
-    then applied across all units in one vectorized call per coordinate,
-    which is bit-identical to the per-unit path but far cheaper for many
-    small units.
+    Each unit draws its own correlated normals Z from ``rng_for_unit(unit_id)``
+    through the Cholesky factor, so its rows do not depend on which other
+    units are sampled.  Every row is F_d^{-1}(Phi(Z_d)), with the quantile
+    maps applied across all units in one vectorized call per coordinate.
     """
     dim = len(model.coordinates)
     sizes = []
     u_parts = []
     for unit_id in unit_ids:
         if unit_id not in model.marginals:
-            raise DataError(f"copula_sample_unit: unknown unit {unit_id!r}")
+            raise DataError(f"sample_all_units: unknown unit {unit_id!r}")
         n = model.populations[unit_id]
         sizes.append(n)
         z = rng_for_unit(unit_id).standard_normal((n, dim)) @ model.correlation.cholesky_factor.T
@@ -379,12 +338,32 @@ def sample_all_units(
                 col[degenerate] = np.exp(a[degenerate])
             out[:, j] = col
     if not np.all(np.isfinite(out)):
-        raise EstimationError("copula_sample_unit: non-finite draws")
+        raise EstimationError("sample_all_units: non-finite draws")
+    return out, sizes
 
+
+def sample_unit_coordinates(model: CopulaModel, unit_id: str, rng: np.random.Generator) -> np.ndarray:
+    """Raw coordinate draws for one unit: a (population, dim) array."""
+    return _draw_coordinates(model, [unit_id], lambda _: rng)[0]
+
+
+def sample_all_units(
+    model: CopulaModel,
+    schemas: list[FeatureSchema],
+    unit_ids: list[str],
+    rng_for_unit,
+) -> list[UnitBlock]:
+    """Sample every unit into a UnitBlock, each from ``rng_for_unit(unit_id)``.
+
+    Beta draws for the classes of one categorical feature are renormalized
+    into that cell's probability vector; continuous draws are stored
+    directly.
+    """
+    draws, sizes = _draw_coordinates(model, unit_ids, rng_for_unit)
     blocks = []
     offset = 0
     for unit_id, n in zip(unit_ids, sizes):
-        blocks.append(_pack_block(out[offset : offset + n], schemas, unit_id))
+        blocks.append(_pack_block(draws[offset : offset + n], schemas, unit_id))
         offset += n
     return blocks
 
@@ -401,22 +380,6 @@ def _pack_block(draws: np.ndarray, schemas: list[FeatureSchema], unit_id: str) -
             block.columns[sc.name] = draws[:, j].copy()
             j += 1
     return block
-
-
-def copula_sample_unit(
-    model: CopulaModel,
-    schemas: list[FeatureSchema],
-    unit_id: str,
-    rng: np.random.Generator,
-) -> UnitBlock:
-    """Sample one unit into a UnitBlock.
-
-    Beta draws for the classes of one categorical feature are renormalized
-    into that cell's probability vector; continuous draws are stored
-    directly.
-    """
-    draws = sample_unit_coordinates(model, unit_id, rng)
-    return _pack_block(draws, schemas, unit_id)
 
 
 def model_to_json(model: CopulaModel) -> dict:

@@ -38,9 +38,10 @@ def probabilistic_match(
 ) -> list[MatchResult]:
     """Rank the query unit's synthetic rows by distance; return the top k.
 
-    Ties break by person index.  Continuous distances are scaled by the
-    feature's standard deviation over the whole pool; a zero deviation
-    falls back to the raw absolute difference.
+    Ties break by person index, which is the row position for a generated
+    pool and the CSV's ``person_index`` for a loaded one.  Continuous
+    distances are scaled by the feature's standard deviation over the whole
+    pool; a zero deviation falls back to the raw absolute difference.
     """
     if k < 1:
         raise DataError(f"probabilistic_match: k must be >= 1, got {k}")
@@ -53,7 +54,7 @@ def probabilistic_match(
     for f, w in query.weights.items():
         if f not in by_name:
             raise DataError(f"probabilistic_match: weight for unknown feature {f!r}")
-        if w < 0:
+        if _number(w, f"weight for {f!r}") < 0:
             raise DataError(f"probabilistic_match: negative weight for {f!r}")
     if query.unit_id not in pool.unit_ids:
         raise DataError(f"probabilistic_match: unit {query.unit_id!r} absent from pool")
@@ -76,12 +77,13 @@ def probabilistic_match(
             else:
                 d = (col != q_idx).astype(float)
         else:
-            delta = np.abs(col - float(value))
+            delta = np.abs(col - _number(value, f"value for {name!r}"))
             sd = pooled_sd[name]
             d = delta / sd if sd > 0 else delta
         distance += weight * d
 
-    order = np.lexsort((np.arange(block.size), distance))
+    person_index = np.arange(block.size) if block.person_index is None else block.person_index
+    order = np.lexsort((person_index, distance))
     top = order[: min(k, block.size)]
     results = []
     for idx in top:
@@ -91,8 +93,15 @@ def probabilistic_match(
             if col is None:
                 continue
             cells[sc.name] = sc.classes[col[idx]] if sc.is_categorical else float(col[idx])
-        results.append(MatchResult(int(idx), float(distance[idx]), cells))
+        results.append(MatchResult(int(person_index[idx]), float(distance[idx]), cells))
     return results
+
+
+def _number(value, what: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise DataError(f"probabilistic_match: {what} is not a number: {value!r}") from None
 
 
 def _pooled_sds(

@@ -1,20 +1,19 @@
 """End-to-end generation: outlier screen, copula fit, batch extension, scaling.
 
 All randomness flows from one master seed through named streams keyed by
-phase and unit id, so outputs are byte-identical across reruns and
-independent of unit-level execution order.
+phase and unit id, so outputs are byte-identical across reruns and a
+unit's draws do not depend on which other units are sampled.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import __version__
 from .batching import Predictor, extend_with_batch, fit_predictor, partition_batches, sample_joint_batch
-from .copula import DEFAULT_SD_MODE, SD_MODES, CopulaModel, copula_sample_unit, fit_copula, sample_all_units
+from .copula import DEFAULT_SD_MODE, SD_MODES, CopulaModel, fit_copula, sample_all_units
 from .errors import DataError, DownscaleError
 from .outliers import DEFAULT_CONTAMINATION, OutlierReport, flag_outliers, score_units
 from .rng import RngFactory
@@ -60,7 +59,6 @@ def generate(
     contamination: float = DEFAULT_CONTAMINATION,
     phase3_mode: str = "distribution",
     max_train_rows: int | None = 800,
-    jobs: int = 1,
     model: CopulaModel | None = None,
     predictors: list[Predictor] | None = None,
 ) -> GenerationResult:
@@ -85,11 +83,7 @@ def generate(
             model = fit_copula(coarse, core, report.flagged, sd_mode, identity_fallback=True)
         else:
             _check_model(model, coarse, core)
-        if jobs <= 1:
-            blocks = sample_all_units(model, core, coarse.unit_ids, lambda uid: rngf.stream("core", uid))
-        else:
-            sampler = lambda unit_id: copula_sample_unit(model, core, unit_id, rngf.stream("core", unit_id))
-            blocks = _unit_map(sampler, coarse.unit_ids, jobs)
+        blocks = sample_all_units(model, core, coarse.unit_ids, lambda uid: rngf.stream("core", uid))
         table = IndividualTable(blocks)
 
     with _phase("phase3/batches"):
@@ -111,11 +105,10 @@ def generate(
             extend_with_batch(table, core, batch, by_target, phase3_mode)
 
     with _phase("phase4/scaling"):
-        def finalize(unit_id: str):
-            block = table.block(unit_id)
-            unit = coarse.unit(unit_id)
+        for unit in coarse.units:
+            block = table.block(unit.unit_id)
             # one stream per unit, consumed feature by feature in schema order
-            rng = rngf.stream("assign", unit_id)
+            rng = rngf.stream("assign", unit.unit_id)
             for sc in schemas:
                 if sc.is_categorical:
                     budget = integerize_budget(unit.population, unit.values[sc.name])
@@ -124,9 +117,6 @@ def generate(
                     block.columns[sc.name] = shift_continuous(
                         block.columns[sc.name], float(unit.values[sc.name])
                     )
-            return block
-
-        _unit_map(finalize, coarse.unit_ids, jobs)
 
     manifest = {
         "tool": "downscale",
@@ -144,13 +134,6 @@ def generate(
         "flagged_units": sorted(report.flagged),
     }
     return GenerationResult(table, report, manifest, model, predictors)
-
-
-def _unit_map(fn, unit_ids: list[str], jobs: int) -> list:
-    if jobs <= 1:
-        return [fn(u) for u in unit_ids]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, unit_ids))
 
 
 def _check_model(model: CopulaModel, coarse: CoarseTable, core: list[FeatureSchema]) -> None:

@@ -4,7 +4,8 @@ Every random draw in the pipeline comes from a stream derived from one
 64-bit master seed plus a tuple of string/int labels (e.g. the phase name
 and the aggregation-unit id).  Identical (seed, labels) always yield an
 identical generator, independent of execution order, which is what makes
-unit-level parallelism and byte-identical reruns possible.
+reruns byte-identical and a unit's draws independent of which other units
+are sampled.
 """
 
 from __future__ import annotations

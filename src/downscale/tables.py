@@ -60,12 +60,15 @@ class UnitBlock:
 
     Finalized categorical columns are 1-D integer arrays of class indices;
     intermediate categorical columns are (n, k) probability matrices.
-    Continuous columns are 1-D float arrays.
+    Continuous columns are 1-D float arrays.  A block read from a CSV keeps
+    its rows' ascending ``person_index`` values; a generated block has none
+    and its rows are numbered by position.
     """
 
     unit_id: str
     size: int
     columns: dict[str, np.ndarray] = field(default_factory=dict)
+    person_index: np.ndarray | None = None
 
 
 @dataclass
@@ -304,7 +307,8 @@ def load_individual_csv(path: str | Path, schemas: list[FeatureSchema]) -> Indiv
         if len(set(indices)) != len(indices):
             repeated = sorted({i for i in indices if indices.count(i) > 1})
             raise DataError(f"{where}: duplicate person_index {repeated[:5]} in unit {uid!r}")
-        unit_rows = [r for _, r in sorted(zip(indices, grouped[uid]), key=lambda pair: pair[0])]
+        pairs = sorted(zip(indices, grouped[uid]), key=lambda pair: pair[0])
+        unit_rows = [r for _, r in pairs]
         n = len(unit_rows)
         columns: dict[str, np.ndarray] = {}
         for sc in schemas:
@@ -321,5 +325,6 @@ def load_individual_csv(path: str | Path, schemas: list[FeatureSchema]) -> Indiv
                 columns[sc.name] = idx
             else:
                 columns[sc.name] = np.array(_parse_column(float, unit_rows, sc.name, where, uid))
-        blocks.append(UnitBlock(uid, n, columns))
+        person_index = np.array([i for i, _ in pairs], dtype=np.int64)
+        blocks.append(UnitBlock(uid, n, columns, person_index))
     return IndividualTable(blocks)

@@ -159,6 +159,35 @@ def test_match_absent_unit_fails(fixture_paths, capsys):
     assert "absent from pool" in capsys.readouterr().err
 
 
+def test_match_reports_pool_person_index(fixture_paths, capsys):
+    tmp_path, schema_path, _, _ = fixture_paths
+    pool = tmp_path / "pool.csv"
+    pool.write_text("unit_id,person_index,age,spend,online\nu0,30,mid,2.0,no\nu0,20,mid,5.0,no\nu0,10,old,1.0,yes\n")
+    query = tmp_path / "query.json"
+    query.write_text(json.dumps({"unit_id": "u0", "attributes": {"age": "mid"}}))
+    capsys.readouterr()
+    code = main(["match", "--schema", str(schema_path), "--pool", str(pool), "--query", str(query), "--k", "3"])
+    assert code == 0
+    printed = capsys.readouterr().out.strip().splitlines()
+    # the two "mid" rows tie and break by ascending person_index
+    assert [line.split(",")[1] for line in printed[1:]] == ["20", "30", "10"]
+
+
+@pytest.mark.parametrize("doc, expected", [
+    ({"attributes": {"spend": "abc"}}, "value for 'spend' is not a number: 'abc'"),
+    ({"attributes": {"age": "mid"}, "weights": {"age": "x"}}, "weight for 'age' is not a number: 'x'"),
+], ids=["value", "weight"])
+def test_match_non_numeric_query_is_a_clean_error(fixture_paths, capsys, doc, expected):
+    tmp_path, schema_path, coarse_path, _ = fixture_paths
+    _, out = run_generate(tmp_path, schema_path, coarse_path, "pool.csv")
+    query = tmp_path / "query.json"
+    query.write_text(json.dumps({"unit_id": "u0000", **doc}))
+    capsys.readouterr()
+    assert main(["match", "--schema", str(schema_path), "--pool", str(out), "--query", str(query)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: probabilistic_match:") and expected in err[0]
+
+
 def _rewrite_first_rows(path, edit):
     lines = path.read_text().splitlines()
     header = lines[0].split(",")

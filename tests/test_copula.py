@@ -11,7 +11,6 @@ from downscale import (
     AggregationUnit,
     CoarseTable,
     EstimationError,
-    copula_sample_unit,
     estimate_correlation,
     fit_copula,
     fit_unit_marginals,
@@ -32,7 +31,7 @@ from downscale.copula import (
     sample_all_units,
 )
 from downscale.rng import stream
-from downscale.schema import Coordinate
+from downscale.schema import Coordinate, coordinates
 from conftest import make_coarse, make_schemas
 
 
@@ -68,6 +67,49 @@ def test_solve_beta_rejects_boundary_mean():
     for mean in (0.0, 1.0, -0.1, 1.5):
         with pytest.raises(EstimationError):
             solve_beta(mean, 0.1)
+    with pytest.raises(EstimationError, match="mean 1.5 outside"):
+        solve_beta(np.array([[0.2, 0.5], [1.5, 0.3]]), 0.1)
+    with pytest.raises(EstimationError, match="negative sd -0.2"):
+        solve_beta(np.array([0.2, 0.5]), np.array([0.1, -0.2]))
+
+
+def test_solve_beta_arrays_equal_scalar_calls_bit_for_bit():
+    rng = np.random.default_rng(8)
+    means = rng.uniform(0.001, 0.999, (7, 5))
+    sds = np.concatenate([rng.uniform(0.0, 0.8, (7, 4)), np.zeros((7, 1))], axis=1)
+    alphas, betas = solve_beta(means, sds)
+    for i, j in np.ndindex(means.shape):
+        alpha, beta = solve_beta(float(means[i, j]), float(sds[i, j]))
+        assert isinstance(alpha, float) and isinstance(beta, np.float64)
+        assert alphas[i, j] == alpha and betas[i, j] == beta
+
+
+@pytest.mark.parametrize("sd_mode", ["paper", "sqrt_n", "pooled"])
+def test_fit_unit_marginals_beta_specs_are_solve_beta_of_clamped_means(sd_mode):
+    schemas = make_schemas([("g", 3, 0), ("inc", None, 0), ("b", 2, 0)])
+    coarse = make_coarse(schemas, [1, 4, 17, 60, 9])
+    # proportions of exactly 0 and 1 exercise the half-count clamp
+    coarse.unit("u0002").values["b"] = np.array([1.0, 0.0])
+    sigma = pooled_sigmas(coarse, schemas)
+    specs = fit_unit_marginals(coarse, schemas, sigma, sd_mode)
+    by_name = {sc.name: sc for sc in schemas}
+    for unit in coarse.units:
+        n = unit.population
+        half_count = 1.0 / (2.0 * n)
+        for coord, spec in zip(coordinates(schemas), specs[unit.unit_id]):
+            if coord.class_label is None:
+                assert spec.kind == LOGNORMAL
+                continue
+            raw = float(unit.values[coord.feature][by_name[coord.feature].classes.index(coord.class_label)])
+            mean = min(max(raw, half_count), 1.0 - half_count)
+            pooled = sigma[coord.label]
+            sd = {
+                "paper": pooled * math.sqrt(len(coarse.units)) * math.sqrt(n),
+                "sqrt_n": pooled * math.sqrt(n),
+                "pooled": pooled,
+            }[sd_mode]
+            assert spec.kind == BETA
+            assert (spec.a, spec.b, spec.mean, spec.sd) == (*solve_beta(mean, sd), mean, sd)
 
 
 @given(
@@ -103,9 +145,17 @@ def test_solve_lognormal_income_scale():
     assert abs(math.sqrt(implied_var) - 25000.0) / 25000.0 < 1e-9
 
 
-def test_solve_lognormal_rejects_nonpositive_mean():
-    with pytest.raises(EstimationError):
-        solve_lognormal(0.0, 1.0)
+def test_solve_lognormal_rejects_negative_mean():
+    with pytest.raises(EstimationError, match="negative mean -1.0"):
+        solve_lognormal(-1.0, 1.0)
+
+
+def test_solve_lognormal_zero_mean_is_point_mass_at_zero():
+    assert solve_lognormal(0.0, 1.0) == (-math.inf, 0.0)
+    spec = MarginalSpec(LOGNORMAL, -math.inf, 0.0, 0.0, 1.0)
+    assert spec.implied_mean() == 0.0
+    draws = sample_unit_coordinates(manual_model(np.eye(1), [spec], 50), "unit", stream(1, "zero"))
+    np.testing.assert_array_equal(draws, np.zeros((50, 1)))
 
 
 # --- positive definite repair ------------------------------------------------
@@ -342,11 +392,13 @@ def test_sampling_deterministic():
 
 
 def test_batched_sampling_matches_per_unit_path():
+    # a unit's draws do not depend on which other units are sampled with it
     schemas = make_schemas([("g", 3, 0), ("inc", None, 0)])
     coarse = make_coarse(schemas, [17, 5, 40, 8, 23, 11])
     model = fit_copula(coarse, schemas)
-    per_unit = [copula_sample_unit(model, schemas, uid, stream(9, "core", uid)) for uid in coarse.unit_ids]
-    batched = sample_all_units(model, schemas, coarse.unit_ids, lambda uid: stream(9, "core", uid))
+    rng_for_unit = lambda uid: stream(9, "core", uid)
+    per_unit = [sample_all_units(model, schemas, [uid], rng_for_unit)[0] for uid in coarse.unit_ids]
+    batched = sample_all_units(model, schemas, coarse.unit_ids, rng_for_unit)
     for a, b in zip(per_unit, batched):
         assert a.unit_id == b.unit_id
         np.testing.assert_array_equal(a.columns["g"], b.columns["g"])
@@ -357,7 +409,7 @@ def test_sampled_block_shapes_and_normalization():
     schemas = make_schemas([("g", 3, 0), ("inc", None, 0)])
     coarse = make_coarse(schemas, [30] * 10)
     model = fit_copula(coarse, schemas)
-    block = copula_sample_unit(model, schemas, "u0003", stream(0, "core", "u0003"))
+    [block] = sample_all_units(model, schemas, ["u0003"], lambda uid: stream(0, "core", uid))
     assert block.columns["g"].shape == (30, 3)
     np.testing.assert_allclose(block.columns["g"].sum(axis=1), 1.0, atol=1e-12)
     assert block.columns["inc"].shape == (30,)

@@ -95,6 +95,10 @@ def test_negative_weight_rejected():
     query = MatchQuery("V3N1P5", {"age": "53"}, weights={"age": -1.0})
     with pytest.raises(DataError, match="negative weight"):
         probabilistic_match(query, BURNABY_POOL, POOL_SCHEMA)
+    query = MatchQuery("V3N1P5", {"age": "53"}, weights={"age": "x"})
+    with pytest.raises(DataError, match="weight for 'age' is not a number: 'x'"):
+        probabilistic_match(query, BURNABY_POOL, POOL_SCHEMA)
+
 
 
 def test_ranking_invariant_under_weight_rescaling():

@@ -108,16 +108,6 @@ def test_generation_deterministic():
     )
 
 
-def test_jobs_do_not_change_output():
-    schemas = make_schemas([("a", 2, 0), ("x", None, 0)])
-    coarse = make_coarse(schemas, [10, 20, 15, 12, 30, 25, 18, 22, 16, 24, 13, 28])
-    serial = generate(coarse, schemas, seed=5, jobs=1)
-    threaded = generate(coarse, schemas, seed=5, jobs=4)
-    for b1, b2 in zip(serial.table.blocks, threaded.table.blocks):
-        for name in b1.columns:
-            np.testing.assert_array_equal(b1.columns[name], b2.columns[name])
-
-
 def test_saved_model_reproduces_run(tmp_path):
     schemas = make_schemas([("a", 2, 0), ("b", 2, 1)])
     coarse = make_coarse(schemas, [10, 20, 15, 12, 30, 25, 18, 22, 16, 24, 13, 28])
@@ -127,6 +117,34 @@ def test_saved_model_reproduces_run(tmp_path):
     model, predictors = load_model(path)
     second = generate(coarse, schemas, seed=9, model=model, predictors=predictors)
     assert second.manifest["model_source"] == "supplied"
+    for b1, b2 in zip(first.table.blocks, second.table.blocks):
+        for name in b1.columns:
+            np.testing.assert_array_equal(b1.columns[name], b2.columns[name])
+
+
+@pytest.mark.parametrize("batch", [0, 1], ids=["core", "batch"])
+def test_zero_continuous_mean_is_a_point_mass_at_zero(tmp_path, batch):
+    schemas = make_schemas([("a", 2, 0), ("x", None, 0), ("y", None, batch), ("b", 3, 1)])
+    coarse = make_coarse(schemas, [10, 20, 15, 12, 30, 25, 18, 22, 16, 24, 13, 28])
+    for unit_id in ("u0001", "u0004", "u0009"):
+        coarse.unit(unit_id).values["y"] = 0.0
+    first = generate(coarse, schemas, seed=8)
+    check = aggregate(first.table, schemas)
+    for unit in coarse.units:
+        got = check.unit(unit.unit_id)
+        for sc in schemas:
+            if sc.is_categorical:
+                budget = integerize_budget(unit.population, unit.values[sc.name])
+                np.testing.assert_array_equal(np.rint(got.values[sc.name] * unit.population), budget)
+            else:
+                rel = abs(got.values[sc.name] - unit.values[sc.name]) / max(1.0, unit.values[sc.name])
+                assert rel < 1e-6
+    for unit_id in ("u0001", "u0004", "u0009"):
+        np.testing.assert_array_equal(first.table.block(unit_id).columns["y"], 0.0)
+    path = tmp_path / "model.json"
+    save_model(path, first.model, first.predictors)
+    model, predictors = load_model(path)
+    second = generate(coarse, schemas, seed=8, model=model, predictors=predictors)
     for b1, b2 in zip(first.table.blocks, second.table.blocks):
         for name in b1.columns:
             np.testing.assert_array_equal(b1.columns[name], b2.columns[name])
@@ -144,7 +162,7 @@ def test_supplied_model_must_match_units(tmp_path):
 def test_errors_carry_phase_names(monkeypatch):
     schemas = make_schemas([("x", None, 0), ("a", 2, 0)])
     units = [
-        AggregationUnit(f"u{i}", 10, {"x": 0.0, "a": np.array([0.4, 0.6])})
+        AggregationUnit(f"u{i}", 10, {"x": -1.0, "a": np.array([0.4, 0.6])})
         for i in range(12)
     ]
     with pytest.raises(EstimationError, match="phase2/copula"):
