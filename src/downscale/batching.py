@@ -102,14 +102,13 @@ def sample_joint_batch(
     rng_factory: RngFactory,
     phase_tag: str,
     sd_mode: str,
-    identity_fallback: bool = False,
 ) -> tuple[IndividualTable, CopulaModel]:
     """Sample every unit jointly over a schema subset from a fresh copula fit.
 
     The restricted coordinate set gets its own correlation estimate and PD
     repair, independent of any larger fit.
     """
-    model = fit_copula(coarse, schemas_subset, flagged, sd_mode, identity_fallback)
+    model = fit_copula(coarse, schemas_subset, flagged, sd_mode)
     blocks = sample_all_units(
         model, schemas_subset, coarse.unit_ids, lambda uid: rng_factory.stream(phase_tag, uid)
     )
@@ -236,15 +235,11 @@ def fit_predictor(
 
     center = np.zeros(x.shape[1])
     scale = np.ones(x.shape[1])
-    j = 0
-    for sc in core_schemas:
-        if sc.is_categorical:
-            j += sc.n_classes
-        else:
+    for j, coord in enumerate(input_coords):
+        if coord.class_label is None:
             sd = float(x[:, j].std())
             center[j] = float(x[:, j].mean())
             scale[j] = sd if sd > 0 else 1.0
-            j += 1
     xb = np.hstack([(x - center) / scale, np.ones((x.shape[0], 1))])
 
     if target.is_categorical:

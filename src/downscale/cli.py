@@ -32,7 +32,6 @@ log = logging.getLogger("downscale")
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sync", description="Downscale aggregated data to individual records")
-    parser.add_argument("-v", "--verbose", action="store_true", help="log phase progress and timings")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("-v", "--verbose", action="store_true", help="log phase progress and timings")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -23,7 +23,6 @@ from scipy.special import betainc, betaincinv, ndtr, ndtri
 from .errors import DataError, EstimationError
 from .schema import Coordinate, FeatureSchema, coordinates
 from .tables import CoarseTable, UnitBlock
-from .outliers import coarse_value_matrix
 
 SD_MODES = ("paper", "sqrt_n", "pooled")
 DEFAULT_SD_MODE = "sqrt_n"
@@ -189,17 +188,12 @@ def nearest_pd_repair(matrix: np.ndarray) -> CorrelationMatrix:
     raise EstimationError(f"nearest_pd_repair: not positive definite after {_MAX_REPAIR_ITER} rounds")
 
 
-def estimate_correlation(
-    coarse: CoarseTable, schemas: list[FeatureSchema], exclude: set[str] | None = None
-) -> CorrelationMatrix:
-    """Pearson correlation of coordinate values across unflagged units.
+def estimate_correlation(values: np.ndarray) -> CorrelationMatrix:
+    """Pearson correlation of coordinates across the rows (units) of ``values``.
 
     Constant coordinates get zero correlation with all others; entries are
     clipped to +/-(1 - 1e-6) and the result PD-repaired.
     """
-    exclude = exclude or set()
-    keep = [i for i, u in enumerate(coarse.units) if u.unit_id not in exclude]
-    values = coarse_value_matrix(coarse, schemas)[keep]
     m, dim = values.shape
     if m < dim + 2:
         raise EstimationError(
@@ -220,14 +214,8 @@ def estimate_correlation(
     return nearest_pd_repair(corr)
 
 
-def pooled_sigmas(
-    coarse: CoarseTable, schemas: list[FeatureSchema], exclude: set[str] | None = None
-) -> dict[str, float]:
-    """Unbiased per-coordinate sd of unit-level aggregates across unflagged units."""
-    exclude = exclude or set()
-    keep = [i for i, u in enumerate(coarse.units) if u.unit_id not in exclude]
-    values = coarse_value_matrix(coarse, schemas)[keep]
-    coords = coordinates(schemas)
+def pooled_sigmas(values: np.ndarray, coords: list[Coordinate]) -> dict[str, float]:
+    """Unbiased per-coordinate sd across the rows (units) of ``values``."""
     if values.shape[0] < 2:
         return {c.label: 0.0 for c in coords}
     sd = values.std(axis=0, ddof=1)
@@ -248,8 +236,8 @@ def fit_unit_marginals(
     """
     coords = coordinates(schemas)
     pooled = np.array([pooled_sigma[c.label] for c in coords])
-    means = coarse_value_matrix(coarse, schemas)
-    populations = np.array([u.population for u in coarse.units], dtype=float)[:, None]
+    means = coarse.matrix(schemas)
+    populations = coarse.populations.astype(float)[:, None]
     if sd_mode == "paper":
         sigmas = pooled * math.sqrt(len(coarse.units)) * np.sqrt(populations)
     elif sd_mode == "sqrt_n":
@@ -282,22 +270,23 @@ def fit_copula(
     schemas: list[FeatureSchema],
     exclude: set[str] | None = None,
     sd_mode: str = DEFAULT_SD_MODE,
-    identity_fallback: bool = False,
 ) -> CopulaModel:
     """Fit the full copula model on a schema subset.
 
-    With ``identity_fallback`` the correlation degrades to the identity
-    (independent coordinates) when too few units are available for
-    estimation instead of raising; marginals are still fitted per unit.
+    Units in ``exclude`` (flagged outliers) are left out of the correlation
+    and pooled-sd estimates but still get marginals.  When too few units
+    remain to estimate the correlation, it degrades to the identity
+    (independent coordinates).
     """
     coords = coordinates(schemas)
+    exclude = exclude or set()
+    keep = np.array([u.unit_id not in exclude for u in coarse.units], dtype=bool)
+    unflagged = coarse.matrix(schemas)[keep]
     try:
-        correlation = estimate_correlation(coarse, schemas, exclude)
+        correlation = estimate_correlation(unflagged)
     except EstimationError:
-        if not identity_fallback:
-            raise
         correlation = CorrelationMatrix.from_entries(np.eye(len(coords)))
-    sigma = pooled_sigmas(coarse, schemas, exclude)
+    sigma = pooled_sigmas(unflagged, coords)
     marginals = fit_unit_marginals(coarse, schemas, sigma, sd_mode)
     populations = {u.unit_id: u.population for u in coarse.units}
     return CopulaModel(coords, correlation, marginals, sigma, populations, sd_mode)
@@ -383,6 +372,7 @@ def _pack_block(draws: np.ndarray, schemas: list[FeatureSchema], unit_id: str) -
 
 
 def model_to_json(model: CopulaModel) -> dict:
+    """Plain-JSON form of a model; a point mass at 0 stores ``mu_log`` = -inf as null."""
     return {
         "sd_mode": model.sd_mode,
         "coordinates": [[c.feature, c.class_label] for c in model.coordinates],
@@ -390,7 +380,7 @@ def model_to_json(model: CopulaModel) -> dict:
         "pooled_sigma": model.pooled_sigma,
         "populations": model.populations,
         "marginals": {
-            unit_id: [[s.kind, s.a, s.b, s.mean, s.sd] for s in specs]
+            unit_id: [[s.kind, None if s.a == -math.inf else s.a, s.b, s.mean, s.sd] for s in specs]
             for unit_id, specs in model.marginals.items()
         },
     }
@@ -400,7 +390,8 @@ def model_from_json(doc: dict) -> CopulaModel:
     coords = [Coordinate(f, c) for f, c in doc["coordinates"]]
     correlation = CorrelationMatrix.from_entries(np.array(doc["correlation"]))
     marginals = {
-        unit_id: [MarginalSpec(kind, a, b, mean, sd) for kind, a, b, mean, sd in specs]
+        unit_id: [MarginalSpec(kind, -math.inf if a is None else a, b, mean, sd)
+                  for kind, a, b, mean, sd in specs]
         for unit_id, specs in doc["marginals"].items()
     }
     return CopulaModel(
@@ -420,7 +411,7 @@ def save_model(path: str | Path, model: CopulaModel, predictors: list | None = N
     doc = {"copula": model_to_json(model)}
     if predictors is not None:
         doc["predictors"] = [predictor_to_json(p) for p in predictors]
-    Path(path).write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
+    Path(path).write_text(json.dumps(doc, sort_keys=True, allow_nan=False), encoding="utf-8")
 
 
 def load_model(path: str | Path) -> tuple[CopulaModel, list]:

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .schema import FeatureSchema, coordinates
+from .schema import FeatureSchema
 from .tables import CoarseTable
 
 MIN_UNITS_FOR_SCORING = 10
@@ -31,23 +31,6 @@ class OutlierReport:
     flagged: set[str] = field(default_factory=set)
     threshold: float = math.inf
     skipped: bool = False
-
-
-def coarse_value_matrix(coarse: CoarseTable, schemas: list[FeatureSchema]) -> np.ndarray:
-    """Units-by-coordinates matrix of aggregate values (proportions and means)."""
-    coords = coordinates(schemas)
-    mat = np.empty((len(coarse.units), len(coords)))
-    for i, unit in enumerate(coarse.units):
-        j = 0
-        for sc in schemas:
-            if sc.is_categorical:
-                vec = unit.values[sc.name]
-                mat[i, j : j + sc.n_classes] = vec
-                j += sc.n_classes
-            else:
-                mat[i, j] = unit.values[sc.name]
-                j += 1
-    return mat
 
 
 def score_matrix(values: np.ndarray) -> np.ndarray:
@@ -76,7 +59,7 @@ def score_units(coarse: CoarseTable, schemas: list[FeatureSchema]) -> OutlierRep
     """Score every unit; with fewer than 10 units scoring is skipped."""
     if len(coarse.units) < MIN_UNITS_FOR_SCORING:
         return OutlierReport({u.unit_id: 0.0 for u in coarse.units}, skipped=True)
-    values = coarse_value_matrix(coarse, schemas)
+    values = coarse.matrix(schemas)
     if not np.all(np.isfinite(values)):
         raise DataError("score_units: non-finite coarse values")
     scores = score_matrix(values)

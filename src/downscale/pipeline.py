@@ -65,10 +65,13 @@ def generate(
     """Run the four-phase pipeline and return the finalized individual table.
 
     A previously fitted ``model`` (plus ``predictors``) can be supplied to
-    skip re-estimation; sampling and scaling still run under ``seed``.
+    skip re-estimation; it must have been fitted with the same ``sd_mode``.
+    Sampling and scaling still run under ``seed``.
     """
     if sd_mode not in SD_MODES:
         raise DataError(f"generate: unknown sd_mode {sd_mode!r}")
+    if not (max_train_rows is None or max_train_rows >= 1):
+        raise DataError(f"generate: max_train_rows must be None or >= 1, got {max_train_rows!r}")
     rngf = RngFactory(seed)
     core, batches = partition_batches(schemas)
     prefit = model is not None
@@ -80,9 +83,9 @@ def generate(
 
     with _phase("phase2/copula"):
         if model is None:
-            model = fit_copula(coarse, core, report.flagged, sd_mode, identity_fallback=True)
+            model = fit_copula(coarse, core, report.flagged, sd_mode)
         else:
-            _check_model(model, coarse, core)
+            _check_model(model, coarse, core, sd_mode)
         blocks = sample_all_units(model, core, coarse.unit_ids, lambda uid: rngf.stream("core", uid))
         table = IndividualTable(blocks)
 
@@ -91,7 +94,7 @@ def generate(
             predictors = []
             for j, batch in enumerate(batches, start=1):
                 k_table, _ = sample_joint_batch(
-                    coarse, core + batch, report.flagged, rngf, f"batch{j}", sd_mode, identity_fallback=True
+                    coarse, core + batch, report.flagged, rngf, f"batch{j}", sd_mode
                 )
                 for target in batch:
                     predictors.append(
@@ -136,10 +139,14 @@ def generate(
     return GenerationResult(table, report, manifest, model, predictors)
 
 
-def _check_model(model: CopulaModel, coarse: CoarseTable, core: list[FeatureSchema]) -> None:
+def _check_model(model: CopulaModel, coarse: CoarseTable, core: list[FeatureSchema], sd_mode: str) -> None:
     expected = coordinates(core)
     if model.coordinates != expected:
         raise DataError("generate: supplied model coordinates do not match the core schema")
+    if model.sd_mode != sd_mode:
+        raise DataError(
+            f"generate: supplied model was fitted with sd_mode {model.sd_mode!r}, this run uses {sd_mode!r}"
+        )
     missing = [u.unit_id for u in coarse.units if u.unit_id not in model.marginals]
     if missing:
         raise DataError(f"generate: supplied model lacks marginals for units {missing[:5]}")

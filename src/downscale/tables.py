@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .schema import FeatureSchema
+from .schema import FeatureSchema, coordinates
 
 PROPORTION_SUM_TOL = 1e-3
 
@@ -52,6 +52,20 @@ class CoarseTable:
 
     def total_population(self) -> int:
         return sum(u.population for u in self.units)
+
+    @property
+    def populations(self) -> np.ndarray:
+        """Per-unit populations, in unit order."""
+        return np.array([u.population for u in self.units])
+
+    def matrix(self, schemas: list[FeatureSchema]) -> np.ndarray:
+        """Units-by-coordinates matrix of aggregate values (proportions and
+        means), columns in ``coordinates(schemas)`` order.
+
+        Built on each call, so it follows later edits of ``unit.values``.
+        """
+        columns = [np.array([u.values[sc.name] for u in self.units], dtype=float) for sc in schemas]
+        return np.column_stack(columns)
 
 
 @dataclass
@@ -210,23 +224,11 @@ def _parse_column(convert, rows, column, where, unit_id) -> list:
 
 def write_coarse_csv(path: str | Path, coarse: CoarseTable, schemas: list[FeatureSchema]) -> None:
     """Write a coarse table in canonical form (all class columns explicit)."""
-    cols = ["unit_id", "population"]
-    for sc in schemas:
-        if sc.is_categorical:
-            cols.extend(f"{sc.name}:{c}" for c in sc.classes)
-        else:
-            cols.append(sc.name)
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(cols)
-        for unit in coarse.units:
-            row: list = [unit.unit_id, unit.population]
-            for sc in schemas:
-                if sc.is_categorical:
-                    row.extend(repr(float(v)) for v in unit.values[sc.name])
-                else:
-                    row.append(repr(float(unit.values[sc.name])))
-            writer.writerow(row)
+        writer.writerow(["unit_id", "population"] + [c.label for c in coordinates(schemas)])
+        for unit, values in zip(coarse.units, coarse.matrix(schemas).tolist()):
+            writer.writerow([unit.unit_id, unit.population] + [repr(v) for v in values])
 
 
 def aggregate(individuals: IndividualTable, schemas: list[FeatureSchema]) -> CoarseTable:

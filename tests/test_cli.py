@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import downscale
 from downscale import load_individual_csv, parse_schema, write_coarse_csv
 from downscale.cli import main
 from conftest import make_coarse
@@ -254,3 +259,51 @@ def test_evaluate_unwritable_report_is_a_clean_error(fixture_paths, capsys):
     assert code == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: evaluate:") and "no_such_dir" in err[0]
+
+
+def test_verbose_after_the_command_logs_phase_lines(fixture_paths):
+    # a child process: under pytest the root logger already has handlers, so
+    # main's logging.basicConfig would not install the stderr handler
+    tmp_path, schema_path, coarse_path, _ = fixture_paths
+    src = str(Path(downscale.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "downscale.cli", "generate", "--coarse", str(coarse_path),
+         "--schema", str(schema_path), "--out", str(tmp_path / "people.csv"), "-v"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for phase in ("phase1/outliers", "phase2/copula", "phase3/batches", "phase4/scaling"):
+        assert f"INFO downscale.pipeline: {phase} finished in" in proc.stderr
+
+
+def test_verbose_before_the_command_is_an_argparse_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["-v", "simulate"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: -v" in capsys.readouterr().err
+
+
+def test_generate_negative_max_train_rows_is_a_clean_error(fixture_paths, capsys):
+    tmp_path, schema_path, coarse_path, _ = fixture_paths
+    code, out = run_generate(tmp_path, schema_path, coarse_path, "people.csv",
+                             extra=["--max-train-rows", "-5"])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: generate: max_train_rows must be None or >= 1, got -5"]
+    assert not out.exists()
+
+
+def test_loaded_model_with_another_sd_mode_is_rejected(fixture_paths, capsys):
+    tmp_path, schema_path, coarse_path, _ = fixture_paths
+    model = tmp_path / "model.json"
+    code, _ = run_generate(tmp_path, schema_path, coarse_path, "a.csv",
+                           extra=["--sd-mode", "paper", "--save-model", str(model)])
+    assert code == 0
+    capsys.readouterr()
+    code, out = run_generate(tmp_path, schema_path, coarse_path, "b.csv", extra=["--load-model", str(model)])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: phase2/copula: generate:")
+    assert "'paper'" in err[0] and "'sqrt_n'" in err[0]
+    assert not out.exists()

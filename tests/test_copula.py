@@ -90,7 +90,7 @@ def test_fit_unit_marginals_beta_specs_are_solve_beta_of_clamped_means(sd_mode):
     coarse = make_coarse(schemas, [1, 4, 17, 60, 9])
     # proportions of exactly 0 and 1 exercise the half-count clamp
     coarse.unit("u0002").values["b"] = np.array([1.0, 0.0])
-    sigma = pooled_sigmas(coarse, schemas)
+    sigma = pooled_sigmas(coarse.matrix(schemas), coordinates(schemas))
     specs = fit_unit_marginals(coarse, schemas, sigma, sd_mode)
     by_name = {sc.name: sc for sc in schemas}
     for unit in coarse.units:
@@ -227,7 +227,7 @@ def test_duplicate_coordinates_clipped_and_repaired():
     rng = np.random.default_rng(5)
     col = rng.uniform(0, 1, 50)
     coarse, schemas = continuous_coarse(np.column_stack([col, col, rng.uniform(0, 1, 50)]))
-    corr = estimate_correlation(coarse, schemas)
+    corr = estimate_correlation(coarse.matrix(schemas))
     assert corr.entries[0, 1] < 1.0
     np.linalg.cholesky(corr.entries)
 
@@ -236,7 +236,7 @@ def test_independent_coordinates_near_zero():
     # Monte Carlo oracle: 10,000 simulated units with independent coordinates
     rng = np.random.default_rng(99)
     coarse, schemas = continuous_coarse(rng.uniform(0, 1, size=(10_000, 4)))
-    corr = estimate_correlation(coarse, schemas)
+    corr = estimate_correlation(coarse.matrix(schemas))
     off = corr.entries[~np.eye(4, dtype=bool)]
     assert np.max(np.abs(off)) < 0.05
 
@@ -245,7 +245,7 @@ def test_too_few_units_rejected():
     rng = np.random.default_rng(1)
     coarse, schemas = continuous_coarse(rng.uniform(0, 1, size=(3, 5)))
     with pytest.raises(EstimationError, match="unflagged units"):
-        estimate_correlation(coarse, schemas)
+        estimate_correlation(coarse.matrix(schemas))
 
 
 def test_constant_coordinate_gets_zero_correlation():
@@ -253,7 +253,7 @@ def test_constant_coordinate_gets_zero_correlation():
     values = rng.uniform(0, 1, size=(40, 3))
     values[:, 1] = 0.7
     coarse, schemas = continuous_coarse(values)
-    corr = estimate_correlation(coarse, schemas)
+    corr = estimate_correlation(coarse.matrix(schemas))
     assert np.all(corr.entries[1, [0, 2]] == 0.0)
     assert corr.entries[1, 1] == 1.0
 
@@ -263,10 +263,13 @@ def test_flagged_units_excluded():
     values = rng.uniform(0, 1, size=(30, 2))
     coarse, schemas = continuous_coarse(values)
     excluded = {"u00005", "u00011"}
-    corr = estimate_correlation(coarse, schemas, exclude=excluded)
+    model = fit_copula(coarse, schemas, exclude=excluded)
     keep = [i for i in range(30) if f"u{i:05d}" not in excluded]
     expected = np.corrcoef(values[keep], rowvar=False)[0, 1]
-    assert abs(corr.entries[0, 1] - expected) < 1e-12
+    assert abs(model.correlation.entries[0, 1] - expected) < 1e-12
+    assert abs(model.pooled_sigma["x1"] - values[keep, 1].std(ddof=1)) < 1e-12
+    # excluded units still get marginals
+    assert set(model.marginals) == set(coarse.unit_ids)
 
 
 # --- per-unit marginals --------------------------------------------------------
@@ -430,15 +433,14 @@ def test_model_json_round_trip():
 def test_fit_copula_identity_fallback():
     schemas = make_schemas([("g", 3, 0), ("inc", None, 0)])
     coarse = make_coarse(schemas, [10, 20, 30])  # 3 units, 4 coordinates
-    with pytest.raises(EstimationError):
-        fit_copula(coarse, schemas)
-    model = fit_copula(coarse, schemas, identity_fallback=True)
+    model = fit_copula(coarse, schemas)
     np.testing.assert_array_equal(model.correlation.entries, np.eye(4))
+    assert set(model.marginals) == set(coarse.unit_ids)
 
 
 def test_pooled_sigma_unbiased_estimator():
     rng = np.random.default_rng(8)
     values = rng.uniform(0, 1, size=(25, 2))
     coarse, schemas = continuous_coarse(values)
-    sigma = pooled_sigmas(coarse, schemas)
+    sigma = pooled_sigmas(coarse.matrix(schemas), coordinates(schemas))
     assert abs(sigma["x0"] - values[:, 0].std(ddof=1)) < 1e-12

@@ -1,4 +1,5 @@
 import functools
+import json
 
 import numpy as np
 import pytest
@@ -143,11 +144,20 @@ def test_zero_continuous_mean_is_a_point_mass_at_zero(tmp_path, batch):
         np.testing.assert_array_equal(first.table.block(unit_id).columns["y"], 0.0)
     path = tmp_path / "model.json"
     save_model(path, first.model, first.predictors)
+    # strict JSON: no bare -Infinity/NaN tokens
+    json.loads(path.read_text(), parse_constant=_reject_constant)
     model, predictors = load_model(path)
+    assert model.marginals == first.model.marginals
+    if batch == 0:
+        assert model.marginals["u0001"][3].a == -np.inf
     second = generate(coarse, schemas, seed=8, model=model, predictors=predictors)
     for b1, b2 in zip(first.table.blocks, second.table.blocks):
         for name in b1.columns:
             np.testing.assert_array_equal(b1.columns[name], b2.columns[name])
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
 
 
 def test_supplied_model_must_match_units(tmp_path):
@@ -179,6 +189,14 @@ def test_invalid_sd_mode_rejected():
     coarse = make_coarse(schemas, [10] * 12)
     with pytest.raises(DataError, match="sd_mode"):
         generate(coarse, schemas, sd_mode="bogus")
+
+
+@pytest.mark.parametrize("max_train_rows", [0, -5])
+def test_invalid_max_train_rows_rejected(max_train_rows):
+    schemas = make_schemas([("a", 2, 0), ("b", 2, 1)])
+    coarse = make_coarse(schemas, [10] * 12)
+    with pytest.raises(DataError, match="max_train_rows must be None or >= 1"):
+        generate(coarse, schemas, max_train_rows=max_train_rows)
 
 
 def test_outlier_removal_off_keeps_scores():

@@ -12,6 +12,7 @@ from downscale import (
     write_coarse_csv,
     write_individual_csv,
 )
+from downscale.schema import coordinates
 from conftest import make_coarse, make_schemas
 
 CENSUS_SCHEMA = parse_schema([
@@ -41,6 +42,25 @@ def test_census_excerpt_loads(tmp_path):
     # binary single column expands to (p, 1-p), first class first
     np.testing.assert_allclose(unit.values["pct_mortgage"], [0.32, 0.68])
     assert coarse.unit_ids == ["M5S3G2", "V3N1P5", "L5M6V9"]
+
+
+def test_matrix_columns_follow_coordinates(tmp_path):
+    # single-column binary features expand to two coordinates, first class first
+    coarse = load_coarse_csv(write(tmp_path, CENSUS_CSV), CENSUS_SCHEMA)
+    coords = coordinates(CENSUS_SCHEMA)
+    assert [c.label for c in coords] == [
+        "avg_age", "pct_mortgage:yes", "pct_mortgage:no", "pct_bilingual:yes", "pct_bilingual:no",
+    ]
+    by_name = {sc.name: sc for sc in CENSUS_SCHEMA}
+    matrix = coarse.matrix(CENSUS_SCHEMA)
+    assert matrix.shape == (3, 5)
+    for unit, row in zip(coarse.units, matrix):
+        for coord, value in zip(coords, row):
+            expected = unit.values[coord.feature]
+            if coord.class_label is not None:
+                expected = expected[by_name[coord.feature].classes.index(coord.class_label)]
+            assert value == expected
+    np.testing.assert_array_equal(coarse.populations, [467, 269, 41])
 
 
 def test_proportion_above_one_rejected(tmp_path):
