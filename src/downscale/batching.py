@@ -321,9 +321,9 @@ def predictor_from_json(doc: dict) -> Predictor:
         kind=doc["kind"],
         input_coords=[Coordinate(f, c) for f, c in doc["input_coords"]],
         classes=tuple(doc["classes"]),
-        weights=None if doc["weights"] is None else np.array(doc["weights"]),
-        center=np.array(doc["center"]),
-        scale=np.array(doc["scale"]),
-        constant_probs=None if doc["constant_probs"] is None else np.array(doc["constant_probs"]),
-        constant_value=doc["constant_value"],
+        weights=None if doc["weights"] is None else np.array(doc["weights"], dtype=float),
+        center=np.array(doc["center"], dtype=float),
+        scale=np.array(doc["scale"], dtype=float),
+        constant_probs=None if doc["constant_probs"] is None else np.array(doc["constant_probs"], dtype=float),
+        constant_value=float(doc["constant_value"]),
     )

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import sys
@@ -25,7 +24,7 @@ from .matching import MatchQuery, probabilistic_match
 from .outliers import DEFAULT_CONTAMINATION, write_report_csv
 from .pipeline import generate
 from .schema import load_schema
-from .tables import load_coarse_csv, load_individual_csv, write_individual_csv
+from .tables import load_coarse_csv, load_individual_csv, write_individual_csv, write_rows_csv
 
 log = logging.getLogger("downscale")
 
@@ -112,7 +111,7 @@ def cmd_evaluate(args) -> int:
     report = cell_accuracy(pairs, schemas)
     print(format_report(report))
     if args.out:
-        _write_rows_csv(args.out, [("metric", "value")] + report_rows(report))
+        write_rows_csv(args.out, [("metric", "value")] + report_rows(report))
     return 0
 
 
@@ -141,7 +140,7 @@ def cmd_simulate(args) -> int:
     for (variant, metric), values in means.items():
         rows.append(("mean", variant, metric, f"{float(np.mean(values)):.6f}"))
     if args.out:
-        _write_rows_csv(args.out, rows)
+        write_rows_csv(args.out, rows)
     return 0
 
 
@@ -149,8 +148,13 @@ def cmd_match(args) -> int:
     schemas = load_schema(args.schema)
     pool = load_individual_csv(args.pool, schemas)
     doc = _load_json(args.query, "match")
+    if not isinstance(doc, dict):
+        raise DownscaleError(f"match: query JSON must be an object, got {type(doc).__name__}")
     if "unit_id" not in doc:
         raise DownscaleError("match: query JSON needs a 'unit_id' field")
+    for key in ("attributes", "weights"):
+        if not isinstance(doc.get(key, {}), dict):
+            raise DownscaleError(f"match: query {key!r} must be an object, got {type(doc[key]).__name__}")
     query = MatchQuery(
         unit_id=str(doc["unit_id"]),
         attributes=doc.get("attributes", {}),
@@ -168,13 +172,8 @@ def cmd_match(args) -> int:
     for row in out_rows:
         print(",".join(str(v) for v in row))
     if args.out:
-        _write_rows_csv(args.out, out_rows)
+        write_rows_csv(args.out, out_rows)
     return 0
-
-
-def _write_rows_csv(path, rows) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerows(rows)
 
 
 def main(argv: list[str] | None = None) -> int:

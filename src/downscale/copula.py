@@ -58,7 +58,7 @@ class CorrelationMatrix:
             raise EstimationError("correlation matrix must be symmetric within 1e-12")
         if np.max(np.abs(np.diag(entries) - 1.0)) > 1e-12:
             raise EstimationError("correlation matrix must have unit diagonal")
-        if np.max(np.abs(entries)) > 1.0 + 1e-12:
+        if not np.all(np.abs(entries) <= 1.0 + 1e-12):  # also rejects NaN
             raise EstimationError("correlation entries must lie in [-1, 1]")
         try:
             factor = np.linalg.cholesky(entries)
@@ -387,13 +387,18 @@ def model_to_json(model: CopulaModel) -> dict:
 
 
 def model_from_json(doc: dict) -> CopulaModel:
+    """Inverse of ``model_to_json``; a malformed document raises a builtin error or ``EstimationError``."""
     coords = [Coordinate(f, c) for f, c in doc["coordinates"]]
-    correlation = CorrelationMatrix.from_entries(np.array(doc["correlation"]))
+    correlation = CorrelationMatrix.from_entries(np.array(doc["correlation"], dtype=float))
     marginals = {
-        unit_id: [MarginalSpec(kind, -math.inf if a is None else a, b, mean, sd)
+        unit_id: [MarginalSpec(kind, -math.inf if a is None else float(a), float(b), float(mean), float(sd))
                   for kind, a, b, mean, sd in specs]
         for unit_id, specs in doc["marginals"].items()
     }
+    if correlation.dim != len(coords) or any(len(specs) != len(coords) for specs in marginals.values()):
+        raise ValueError(f"correlation or marginals do not fit the {len(coords)} coordinates")
+    if any(s.kind not in (BETA, LOGNORMAL) for specs in marginals.values() for s in specs):
+        raise ValueError(f"a marginal is neither {BETA!r} nor {LOGNORMAL!r}")
     return CopulaModel(
         coords,
         correlation,
@@ -415,9 +420,14 @@ def save_model(path: str | Path, model: CopulaModel, predictors: list | None = N
 
 
 def load_model(path: str | Path) -> tuple[CopulaModel, list]:
+    """Read a model saved by ``save_model``; a malformed file is a ``DataError`` naming it."""
     from .batching import predictor_from_json
 
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    model = model_from_json(doc["copula"])
-    predictors = [predictor_from_json(p) for p in doc.get("predictors", [])]
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        model = model_from_json(doc["copula"])
+        predictors = [predictor_from_json(p) for p in doc.get("predictors", [])]
+    except (KeyError, TypeError, ValueError, AttributeError, EstimationError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise DataError(f"load_model: {path} is not a valid model file: {detail}") from exc
     return model, predictors

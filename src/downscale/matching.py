@@ -56,10 +56,10 @@ def probabilistic_match(
             raise DataError(f"probabilistic_match: weight for unknown feature {f!r}")
         if _number(w, f"weight for {f!r}") < 0:
             raise DataError(f"probabilistic_match: negative weight for {f!r}")
-    if query.unit_id not in pool.unit_ids:
-        raise DataError(f"probabilistic_match: unit {query.unit_id!r} absent from pool")
-
-    block = pool.block(query.unit_id)
+    try:
+        block = pool.block(query.unit_id)
+    except KeyError:
+        raise DataError(f"probabilistic_match: unit {query.unit_id!r} absent from pool") from None
     pooled_sd = _pooled_sds(pool, schemas, query.attributes)
     distance = np.zeros(block.size)
     for name, value in query.attributes.items():

@@ -10,7 +10,6 @@ but still receive generated individuals.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -19,7 +18,7 @@ import numpy as np
 
 from .errors import DataError
 from .schema import FeatureSchema
-from .tables import CoarseTable
+from .tables import CoarseTable, write_rows_csv
 
 MIN_UNITS_FOR_SCORING = 10
 DEFAULT_CONTAMINATION = 0.02
@@ -90,8 +89,5 @@ def flag_outliers(report: OutlierReport, contamination: float) -> OutlierReport:
 
 
 def write_report_csv(path: str | Path, report: OutlierReport) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["unit_id", "score", "flagged"])
-        for unit_id, score in report.scores.items():
-            writer.writerow([unit_id, repr(float(score)), int(unit_id in report.flagged)])
+    rows = [[unit, repr(float(score)), int(unit in report.flagged)] for unit, score in report.scores.items()]
+    write_rows_csv(path, [["unit_id", "score", "flagged"]] + rows)

@@ -12,8 +12,8 @@ feature holding a class label or a nonnegative real.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -111,51 +111,6 @@ class IndividualTable:
         return True
 
 
-def validate_unit(unit: AggregationUnit, schemas: list[FeatureSchema]) -> AggregationUnit:
-    """Check (and renormalize) one unit's aggregate values against the schema."""
-    if unit.population < 1:
-        raise DataError(f"load_coarse_csv: unit {unit.unit_id!r} has population {unit.population} < 1")
-    for sc in schemas:
-        if sc.name not in unit.values:
-            raise DataError(f"load_coarse_csv: unit {unit.unit_id!r} missing feature {sc.name!r}")
-        val = unit.values[sc.name]
-        if sc.is_categorical:
-            vec = np.asarray(val, dtype=float)
-            if vec.shape != (sc.n_classes,):
-                raise DataError(
-                    f"load_coarse_csv: unit {unit.unit_id!r} feature {sc.name!r} "
-                    f"expects {sc.n_classes} proportions, got shape {vec.shape}"
-                )
-            if not np.all(np.isfinite(vec)):
-                raise DataError(f"load_coarse_csv: non-finite proportion for {sc.name!r} in {unit.unit_id!r}")
-            if vec.min() < 0.0 or vec.max() > 1.0:
-                raise DataError(
-                    f"load_coarse_csv: proportion outside [0, 1] for {sc.name!r} in unit {unit.unit_id!r}"
-                )
-            total = vec.sum()
-            if abs(total - 1.0) > PROPORTION_SUM_TOL:
-                raise DataError(
-                    f"load_coarse_csv: proportions of {sc.name!r} in unit {unit.unit_id!r} "
-                    f"sum to {total:.6f} (tolerance {PROPORTION_SUM_TOL})"
-                )
-            # renormalize rounded published proportions, but leave float noise
-            # alone so write -> load is the exact identity
-            if abs(total - 1.0) > 1e-12:
-                vec = vec / total
-            unit.values[sc.name] = vec
-        else:
-            x = float(val)
-            if not math.isfinite(x):
-                raise DataError(f"load_coarse_csv: non-finite mean for {sc.name!r} in unit {unit.unit_id!r}")
-            if x < 0.0:
-                raise DataError(
-                    f"load_coarse_csv: negative mean {x} for continuous feature {sc.name!r} "
-                    f"in unit {unit.unit_id!r}"
-                )
-            unit.values[sc.name] = x
-    return unit
-
-
 def load_coarse_csv(path: str | Path, schemas: list[FeatureSchema]) -> CoarseTable:
     """Read a coarse CSV into a validated CoarseTable.
 
@@ -163,48 +118,95 @@ def load_coarse_csv(path: str | Path, schemas: list[FeatureSchema]) -> CoarseTab
     larger deviations are rejected.  Binary categorical features may be
     given as a single column holding the first class's proportion.
     """
+    position, columns = _read_csv(path, "load_coarse_csv")
+    for name in ("unit_id", "population"):
+        if name not in position:
+            raise DataError(f"load_coarse_csv: missing required column {name!r}")
+    sources = []  # each feature's columns, resolved from the header before any cell is read
+    for sc in schemas:
+        class_cols = [f"{sc.name}:{c}" for c in sc.classes]
+        if not sc.is_categorical:
+            if sc.name not in position:
+                raise DataError(f"load_coarse_csv: no column for continuous feature {sc.name!r}")
+            sources.append([sc.name])
+        elif all(col in position for col in class_cols):
+            sources.append(class_cols)
+        elif sc.n_classes == 2 and sc.name in position:
+            sources.append([sc.name])
+        else:
+            raise DataError(
+                f"load_coarse_csv: no columns for categorical feature {sc.name!r} "
+                f"(expected {class_cols} or a single binary column)"
+            )
+    unit_ids = columns[position["unit_id"]]
+
+    def parse(convert, column):
+        return _parse_column(convert, columns[position[column]], column, "load_coarse_csv", unit_ids)
+
+    populations = parse(int, "population")
+    _reject(np.array(populations) < 1, lambda i: f"unit {unit_ids[i]!r} has population {populations[i]} < 1")
+    values = {}
+    for sc, cols in zip(schemas, sources):
+        if not sc.is_categorical:
+            x = np.array(parse(float, sc.name))
+            _reject(~np.isfinite(x), lambda i: f"non-finite mean for {sc.name!r} in unit {unit_ids[i]!r}")
+            _reject(x < 0.0, lambda i: f"negative mean {x[i].item()} for continuous feature {sc.name!r} "
+                                       f"in unit {unit_ids[i]!r}")
+            values[sc.name] = x.tolist()
+            continue
+        x = np.column_stack([parse(float, col) for col in cols])
+        if len(cols) == 1:
+            x = np.column_stack([x[:, 0], 1.0 - x[:, 0]])
+        _reject(~np.isfinite(x).all(axis=1),
+                lambda i: f"non-finite proportion for {sc.name!r} in {unit_ids[i]!r}")
+        _reject(((x < 0.0) | (x > 1.0)).any(axis=1),
+                lambda i: f"proportion outside [0, 1] for {sc.name!r} in unit {unit_ids[i]!r}")
+        totals = x.sum(axis=1)
+        _reject(np.abs(totals - 1.0) > PROPORTION_SUM_TOL,
+                lambda i: f"proportions of {sc.name!r} in unit {unit_ids[i]!r} sum to {totals[i]:.6f} "
+                          f"(tolerance {PROPORTION_SUM_TOL})")
+        # renormalize rounded published proportions, but leave float noise
+        # alone so write -> load is the exact identity
+        off = np.abs(totals - 1.0) > 1e-12
+        x[off] = x[off] / totals[off, None]
+        values[sc.name] = list(x)
+    return CoarseTable([
+        AggregationUnit(unit_id, population, {name: column[i] for name, column in values.items()})
+        for i, (unit_id, population) in enumerate(zip(unit_ids, populations))
+    ])
+
+
+def _reject(bad: np.ndarray, message) -> None:
+    """Raise for the first unit flagged in ``bad``; ``message(i)`` describes unit i's fault."""
+    if bad.any():
+        raise DataError(f"load_coarse_csv: {message(int(np.argmax(bad)))}")
+
+
+def _read_csv(path: str | Path, where: str) -> tuple[dict[str, int], list[tuple[str, ...]]]:
+    """A CSV file's header, as column name -> position, and its columns.
+
+    Blank lines are skipped; every other row must have as many cells as
+    the header.
+    """
     path = Path(path)
     if not path.exists():
-        raise DataError(f"load_coarse_csv: no such file {path}")
+        raise DataError(f"{where}: no such file {path}")
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise DataError(f"load_coarse_csv: {path} is empty (no header row)")
-        header = set(reader.fieldnames)
-        if "unit_id" not in header:
-            raise DataError("load_coarse_csv: missing required column 'unit_id'")
-        if "population" not in header:
-            raise DataError("load_coarse_csv: missing required column 'population'")
-        rows = list(reader)
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{where}: {path} is empty (no header row)")
+        rows = []
+        for row in reader:
+            if len(row) != len(header):
+                if not row:
+                    continue
+                raise DataError(f"{where}: {path} line {reader.line_num} has {len(row)} cells, "
+                                f"the header has {len(header)}")
+            rows.append(row)
     if not rows:
-        raise DataError(f"load_coarse_csv: {path} has no data rows")
-
-    units = []
-    for row in rows:
-        unit_id = row["unit_id"]
-        population = _parse_cell(int, row["population"], "load_coarse_csv", "population", unit_id)
-        values: dict[str, np.ndarray | float] = {}
-        for sc in schemas:
-            if sc.is_categorical:
-                class_cols = [f"{sc.name}:{c}" for c in sc.classes]
-                if all(col in header for col in class_cols):
-                    values[sc.name] = np.array(
-                        [_parse_cell(float, row[c], "load_coarse_csv", c, unit_id) for c in class_cols]
-                    )
-                elif sc.n_classes == 2 and sc.name in header:
-                    p = _parse_cell(float, row[sc.name], "load_coarse_csv", sc.name, unit_id)
-                    values[sc.name] = np.array([p, 1.0 - p])
-                else:
-                    raise DataError(
-                        f"load_coarse_csv: no columns for categorical feature {sc.name!r} "
-                        f"(expected {class_cols} or a single binary column)"
-                    )
-            else:
-                if sc.name not in header:
-                    raise DataError(f"load_coarse_csv: no column for continuous feature {sc.name!r}")
-                values[sc.name] = _parse_cell(float, row[sc.name], "load_coarse_csv", sc.name, unit_id)
-        units.append(validate_unit(AggregationUnit(unit_id, population, values), schemas))
-    return CoarseTable(units)
+        raise DataError(f"{where}: {path} has no data rows")
+    return {name: i for i, name in enumerate(header)}, list(zip(*rows))
 
 
 def _parse_cell(convert, text, where, column, unit_id):
@@ -214,21 +216,26 @@ def _parse_cell(convert, text, where, column, unit_id):
         raise DataError(f"{where}: bad value {text!r} in column {column!r}, unit {unit_id!r}") from None
 
 
-def _parse_column(convert, rows, column, where, unit_id) -> list:
+def _parse_column(convert, texts, column, where, unit_ids) -> list:
+    """Convert one column's cells; ``unit_ids`` names each cell's unit in an error."""
     try:
-        return [convert(row[column]) for row in rows]
+        return list(map(convert, texts))
     except (TypeError, ValueError):
         # second, per-cell pass only to name the bad cell
-        return [_parse_cell(convert, row[column], where, column, unit_id) for row in rows]
+        return [_parse_cell(convert, text, where, column, uid) for text, uid in zip(texts, unit_ids)]
+
+
+def write_rows_csv(path: str | Path, rows) -> None:
+    """Write an iterable of rows as one CSV file."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
 
 
 def write_coarse_csv(path: str | Path, coarse: CoarseTable, schemas: list[FeatureSchema]) -> None:
     """Write a coarse table in canonical form (all class columns explicit)."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["unit_id", "population"] + [c.label for c in coordinates(schemas)])
-        for unit, values in zip(coarse.units, coarse.matrix(schemas).tolist()):
-            writer.writerow([unit.unit_id, unit.population] + [repr(v) for v in values])
+    values = coarse.matrix(schemas).tolist()
+    rows = [[u.unit_id, u.population, *map(repr, v)] for u, v in zip(coarse.units, values)]
+    write_rows_csv(path, [["unit_id", "population"] + [c.label for c in coordinates(schemas)]] + rows)
 
 
 def aggregate(individuals: IndividualTable, schemas: list[FeatureSchema]) -> CoarseTable:
@@ -257,76 +264,62 @@ def write_individual_csv(path: str | Path, table: IndividualTable, schemas: list
     """Write a finalized individual table (class labels, float reprs)."""
     if not table.is_finalized(schemas):
         raise DataError("write_individual_csv: table contains unfinalized cells")
-    cols = ["unit_id", "person_index"] + [sc.name for sc in schemas]
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
+
+    def rows():
+        yield ["unit_id", "person_index"] + [sc.name for sc in schemas]
         for block in table.blocks:
-            feature_cols = []
-            for sc in schemas:
-                col = block.columns[sc.name]
-                if sc.is_categorical:
-                    feature_cols.append([sc.classes[i] for i in col])
-                else:
-                    feature_cols.append([repr(float(v)) for v in col])
-            for k in range(block.size):
-                writer.writerow([block.unit_id, k] + [fc[k] for fc in feature_cols])
+            cells = [block.columns[sc.name].tolist() for sc in schemas]
+            cells = [[sc.classes[i] for i in col] if sc.is_categorical else [repr(float(v)) for v in col]
+                     for sc, col in zip(schemas, cells)]
+            yield from zip(repeat(block.unit_id), range(block.size), *cells)
+
+    write_rows_csv(path, rows())
 
 
 def load_individual_csv(path: str | Path, schemas: list[FeatureSchema]) -> IndividualTable:
     """Read a finalized individual table written by write_individual_csv.
 
-    A cell that does not parse, or a ``person_index`` repeated within a
-    unit, raises ``DataError`` naming the file, the column and the value.
+    Units keep the order of their first row in the file; a unit's rows are
+    sorted by ``person_index``.  A cell that does not parse, an unknown
+    class label, or a ``person_index`` repeated within a unit raises
+    ``DataError`` naming the file, the column and the value.
     """
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"load_individual_csv: no such file {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise DataError(f"load_individual_csv: {path} is empty")
-        for col in ["unit_id", "person_index"] + [sc.name for sc in schemas]:
-            if col not in reader.fieldnames:
-                raise DataError(f"load_individual_csv: missing column {col!r}")
-        rows = list(reader)
-    if not rows:
-        raise DataError(f"load_individual_csv: {path} has no data rows")
-
-    class_index = {sc.name: {c: i for i, c in enumerate(sc.classes)} for sc in schemas if sc.is_categorical}
-    blocks: list[UnitBlock] = []
-    order: list[str] = []
-    grouped: dict[str, list[dict]] = {}
-    for row in rows:
-        uid = row["unit_id"]
-        if uid not in grouped:
-            grouped[uid] = []
-            order.append(uid)
-        grouped[uid].append(row)
+    position, columns = _read_csv(path, "load_individual_csv")
+    for col in ["unit_id", "person_index"] + [sc.name for sc in schemas]:
+        if col not in position:
+            raise DataError(f"load_individual_csv: missing column {col!r}")
     where = f"load_individual_csv: {path}"
-    for uid in order:
-        indices = _parse_column(int, grouped[uid], "person_index", where, uid)
-        if len(set(indices)) != len(indices):
-            repeated = sorted({i for i in indices if indices.count(i) > 1})
-            raise DataError(f"{where}: duplicate person_index {repeated[:5]} in unit {uid!r}")
-        pairs = sorted(zip(indices, grouped[uid]), key=lambda pair: pair[0])
-        unit_rows = [r for _, r in pairs]
-        n = len(unit_rows)
-        columns: dict[str, np.ndarray] = {}
-        for sc in schemas:
-            if sc.is_categorical:
-                idx = np.empty(n, dtype=np.int64)
-                lookup = class_index[sc.name]
-                for k, row in enumerate(unit_rows):
-                    label = row[sc.name]
-                    if label not in lookup:
-                        raise DataError(
-                            f"load_individual_csv: unknown class {label!r} for feature {sc.name!r}"
-                        )
-                    idx[k] = lookup[label]
-                columns[sc.name] = idx
-            else:
-                columns[sc.name] = np.array(_parse_column(float, unit_rows, sc.name, where, uid))
-        person_index = np.array([i for i, _ in pairs], dtype=np.int64)
-        blocks.append(UnitBlock(uid, n, columns, person_index))
-    return IndividualTable(blocks)
+    unit_col = columns[position["unit_id"]]
+    code: dict[str, int] = {}
+    codes = np.array([code.setdefault(uid, len(code)) for uid in unit_col])
+    unit_ids = list(code)
+    texts = columns[position["person_index"]]
+    person_index = np.array(_parse_column(int, texts, "person_index", where, unit_col), dtype=np.int64)
+    # one stable sort: units in first-appearance order, each by person_index
+    order = np.lexsort((person_index, codes))
+    codes, person_index = codes[order], person_index[order]
+    repeated = (np.diff(codes) == 0) & (np.diff(person_index) == 0)
+    if repeated.any():
+        unit = codes[np.argmax(repeated)]
+        values = np.unique(person_index[1:][repeated & (codes[1:] == unit)]).tolist()
+        raise DataError(f"{where}: duplicate person_index {values[:5]} in unit {unit_ids[unit]!r}")
+
+    parsed: dict[str, np.ndarray] = {}
+    for sc in schemas:
+        texts = columns[position[sc.name]]
+        if sc.is_categorical:
+            lookup = {c: i for i, c in enumerate(sc.classes)}
+            try:
+                col = np.array([lookup[label] for label in texts], dtype=np.int64)
+            except KeyError as exc:
+                label = exc.args[0]
+                raise DataError(f"{where}: unknown class {label!r} for feature {sc.name!r} "
+                                f"in unit {unit_col[texts.index(label)]!r}") from None
+        else:
+            col = np.array(_parse_column(float, texts, sc.name, where, unit_col), dtype=float)
+        parsed[sc.name] = col[order]
+    ends = np.cumsum(np.bincount(codes)).tolist()
+    return IndividualTable([
+        UnitBlock(uid, e - s, {name: col[s:e] for name, col in parsed.items()}, person_index[s:e])
+        for uid, s, e in zip(unit_ids, [0] + ends, ends)
+    ])

@@ -307,3 +307,91 @@ def test_loaded_model_with_another_sd_mode_is_rejected(fixture_paths, capsys):
     assert len(err) == 1 and err[0].startswith("error: phase2/copula: generate:")
     assert "'paper'" in err[0] and "'sqrt_n'" in err[0]
     assert not out.exists()
+
+
+def _not_pd(doc):
+    # unit diagonal, every off-diagonal -0.9: symmetric but not positive definite
+    dim = len(doc["copula"]["coordinates"])
+    doc["copula"]["correlation"] = [[1.0 if i == j else -0.9 for j in range(dim)] for i in range(dim)]
+
+
+def _nan_correlation(doc):
+    doc["copula"]["correlation"][0][1] = doc["copula"]["correlation"][1][0] = float("nan")
+
+
+def _ragged_marginal(doc):
+    specs = next(iter(doc["copula"]["marginals"].values()))
+    specs[0] = specs[0][:4]
+
+
+def _missing_marginal(doc):
+    specs = next(iter(doc["copula"]["marginals"].values()))
+    del specs[-1]
+
+
+def _string_mean(doc):
+    specs = next(iter(doc["copula"]["marginals"].values()))
+    specs[0][3] = "half"
+
+
+def _string_predictor_scale(doc):
+    doc["predictors"][0]["scale"] = ["wide"]
+
+
+def _wrong_type_marginals(doc):
+    doc["copula"]["marginals"] = []
+
+
+def _null_spec_value(doc):
+    specs = next(iter(doc["copula"]["marginals"].values()))
+    specs[0][2] = None
+
+
+@pytest.mark.parametrize("text, edit, expected", [
+    ('{"copula": ', None, "Expecting value"),
+    ("[1, 2]", None, "list indices must be integers"),
+    ('{"copula": {}}', None, "missing key 'coordinates'"),
+    (None, _not_pd, "not positive definite"),
+    (None, _nan_correlation, "correlation entries must lie in [-1, 1]"),
+    (None, _ragged_marginal, "not enough values to unpack"),
+    (None, _missing_marginal, "do not fit the 4 coordinates"),
+    (None, _string_mean, "could not convert string to float"),
+    (None, _null_spec_value, "not 'NoneType'"),
+    (None, _wrong_type_marginals, "'list' object has no attribute 'items'"),
+    (None, _string_predictor_scale, "could not convert string to float: 'wide'"),
+], ids=["truncated", "not-an-object", "no-coordinates", "not-pd", "nan-correlation", "ragged-marginal",
+        "missing-marginal", "string-mean", "null-value", "marginals-list", "string-predictor-scale"])
+def test_malformed_model_file_is_one_error_line(fixture_paths, capsys, text, edit, expected):
+    tmp_path, schema_path, coarse_path, _ = fixture_paths
+    model = tmp_path / "model.json"
+    if text is None:
+        assert run_generate(tmp_path, schema_path, coarse_path, "a.csv", extra=["--save-model", str(model)])[0] == 0
+        doc = json.loads(model.read_text())
+        edit(doc)
+        text = json.dumps(doc)
+    model.write_text(text)
+    capsys.readouterr()
+    code, out = run_generate(tmp_path, schema_path, coarse_path, "b.csv", extra=["--load-model", str(model)])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: load_model: {model} is not a valid model file:")
+    assert expected in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("doc, expected", [
+    ([{"unit_id": "u0000"}], "query JSON must be an object, got list"),
+    ("u0000", "query JSON must be an object, got str"),
+    ({"unit_id": "u0000", "attributes": ["age"]}, "query 'attributes' must be an object, got list"),
+    ({"unit_id": "u0000", "attributes": {"age": "mid"}, "weights": [1]},
+     "query 'weights' must be an object, got list"),
+], ids=["list", "string", "attributes-list", "weights-list"])
+def test_match_query_of_the_wrong_shape_is_a_clean_error(fixture_paths, capsys, doc, expected):
+    tmp_path, schema_path, coarse_path, _ = fixture_paths
+    _, out = run_generate(tmp_path, schema_path, coarse_path, "pool.csv")
+    query = tmp_path / "query.json"
+    query.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["match", "--schema", str(schema_path), "--pool", str(out), "--query", str(query)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: match: {expected}"]

@@ -1,7 +1,13 @@
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from downscale import (
+    AggregationUnit,
+    CoarseTable,
     DataError,
     IndividualTable,
     UnitBlock,
@@ -168,3 +174,216 @@ def test_write_individual_rejects_unfinalized(tmp_path):
     table = IndividualTable([UnitBlock("A", 1, {"a": np.array([[0.5, 0.5]])})])
     with pytest.raises(DataError, match="unfinalized"):
         write_individual_csv(tmp_path / "x.csv", table, schemas)
+
+
+FAULT_SCHEMA = parse_schema([
+    {"name": "edu", "kind": "categorical", "classes": ["a", "b", "c"]},
+    {"name": "own", "kind": "categorical", "classes": ["yes", "no"]},
+    {"name": "x", "kind": "continuous"},
+])
+
+FAULT_CSV = """unit_id,population,edu:a,edu:b,edu:c,own,x
+A,10,0.2,0.3,0.5,0.25,4.0
+B,20,0.1,0.1,0.8,0.5,2.5
+"""
+
+
+def _drop_column(name):
+    def edit(header, rows):
+        k = header.index(name)
+        del header[k]
+        for row in rows:
+            del row[k]
+    return edit
+
+
+def _set_cell(column, value, row=1, **more):
+    def edit(header, rows):
+        rows[row][header.index(column)] = value
+        for other, text in more.items():
+            rows[row][header.index(other)] = text
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_drop_column("unit_id"), "missing required column 'unit_id'"),
+    (_drop_column("population"), "missing required column 'population'"),
+    (_drop_column("edu:c"),
+     "no columns for categorical feature 'edu' (expected ['edu:a', 'edu:b', 'edu:c'] "
+     "or a single binary column)"),
+    (_drop_column("own"),
+     "no columns for categorical feature 'own' (expected ['own:yes', 'own:no'] "
+     "or a single binary column)"),
+    (_drop_column("x"), "no column for continuous feature 'x'"),
+    (_set_cell("x", "abc"), "bad value 'abc' in column 'x', unit 'B'"),
+    (_set_cell("edu:b", ""), "bad value '' in column 'edu:b', unit 'B'"),
+    (_set_cell("own", "half"), "bad value 'half' in column 'own', unit 'B'"),
+    (_set_cell("population", "ten", row=0), "bad value 'ten' in column 'population', unit 'A'"),
+    (_set_cell("population", "0"), "unit 'B' has population 0 < 1"),
+    (_set_cell("edu:a", "nan"), "non-finite proportion for 'edu' in 'B'"),
+    (_set_cell("edu:a", "1.5", **{"edu:b": "-0.5", "edu:c": "0.0"}), "proportion outside [0, 1] for 'edu' in unit 'B'"),
+    (_set_cell("own", "1.5"), "proportion outside [0, 1] for 'own' in unit 'B'"),
+    (_set_cell("edu:c", "0.7"), "proportions of 'edu' in unit 'B' sum to 0.900000 (tolerance 0.001)"),
+    (_set_cell("x", "inf"), "non-finite mean for 'x' in unit 'B'"),
+    (_set_cell("x", "-2.5"), "negative mean -2.5 for continuous feature 'x' in unit 'B'"),
+], ids=[
+    "no-unit-id", "no-population", "no-class-column", "no-binary-column", "no-continuous-column",
+    "bad-mean-cell", "empty-proportion-cell", "bad-binary-cell", "bad-population-cell",
+    "population-below-one", "non-finite-proportion", "proportion-outside", "binary-outside",
+    "sum-off", "non-finite-mean", "negative-mean",
+])
+def test_each_coarse_fault_has_its_exact_message(tmp_path, edit, message):
+    lines = FAULT_CSV.splitlines()
+    header = lines[0].split(",")
+    rows = [line.split(",") for line in lines[1:]]
+    edit(header, rows)
+    text = "\n".join(",".join(r) for r in [header] + rows) + "\n"
+    with pytest.raises(DataError) as exc:
+        load_coarse_csv(write(tmp_path, text), FAULT_SCHEMA)
+    assert str(exc.value) == f"load_coarse_csv: {message}"
+
+
+def test_fault_fixture_loads(tmp_path):
+    coarse = load_coarse_csv(write(tmp_path, FAULT_CSV), FAULT_SCHEMA)
+    np.testing.assert_array_equal(coarse.unit("B").values["own"], [0.5, 0.5])
+    assert coarse.unit("A").values["x"] == 4.0
+
+
+INDIVIDUAL_SCHEMA = make_schemas([("a", 3, 0), ("x", None, 0)])
+INDIVIDUAL_CSV = "unit_id,person_index,a,x\nB,1,a_c2,0.5\nA,0,a_c0,1.25\nB,0,a_c1,2.0\n"
+
+
+@pytest.mark.parametrize("loader, text, schemas", [
+    (load_coarse_csv, FAULT_CSV, FAULT_SCHEMA),
+    (load_individual_csv, INDIVIDUAL_CSV, INDIVIDUAL_SCHEMA),
+], ids=["coarse", "individual"])
+@pytest.mark.parametrize("edit, cells", [
+    (lambda line: line.rsplit(",", 1)[0], "has {n_minus} cells"),
+    (lambda line: line + ",7", "has {n_plus} cells"),
+    (lambda line: line + ",", "has {n_plus} cells"),
+], ids=["short", "long", "trailing-comma"])
+def test_row_of_the_wrong_length_names_file_and_line(tmp_path, loader, text, schemas, edit, cells):
+    lines = text.splitlines()
+    width = len(lines[0].split(","))
+    lines[2] = edit(lines[2])
+    path = write(tmp_path, "\n".join(lines) + "\n")
+    with pytest.raises(DataError) as exc:
+        loader(path, schemas)
+    expected = cells.format(n_minus=width - 1, n_plus=width + 1)
+    assert str(exc.value) == f"{loader.__name__}: {path} line 3 {expected}, the header has {width}"
+
+
+@pytest.mark.parametrize("loader, text, schemas", [
+    (load_coarse_csv, FAULT_CSV, FAULT_SCHEMA),
+    (load_individual_csv, INDIVIDUAL_CSV, INDIVIDUAL_SCHEMA),
+], ids=["coarse", "individual"])
+def test_blank_lines_are_skipped(tmp_path, loader, text, schemas):
+    plain = loader(write(tmp_path, text, "plain.csv"), schemas)
+    lines = text.splitlines()
+    spaced = loader(write(tmp_path, "\n".join(lines[:2] + [""] + lines[2:]) + "\n\n\r\n", "spaced.csv"), schemas)
+    assert spaced.unit_ids == plain.unit_ids
+    assert pickle.dumps(spaced) == pickle.dumps(plain)
+
+
+def test_individual_rows_are_grouped_and_sorted(tmp_path):
+    table = load_individual_csv(write(tmp_path, INDIVIDUAL_CSV), INDIVIDUAL_SCHEMA)
+    assert table.unit_ids == ["B", "A"]
+    b = table.block("B")
+    np.testing.assert_array_equal(b.person_index, [0, 1])
+    np.testing.assert_array_equal(b.columns["a"], [1, 2])
+    np.testing.assert_array_equal(b.columns["x"], [2.0, 0.5])
+    assert b.columns["a"].dtype == np.int64 and b.columns["x"].dtype == np.float64
+
+
+def test_unknown_class_names_file_and_unit(tmp_path):
+    path = write(tmp_path, INDIVIDUAL_CSV.replace("a_c1", "robot"))
+    with pytest.raises(DataError) as exc:
+        load_individual_csv(path, INDIVIDUAL_SCHEMA)
+    assert str(exc.value) == f"load_individual_csv: {path}: unknown class 'robot' for feature 'a' in unit 'B'"
+
+
+def test_duplicate_person_index_message(tmp_path):
+    text = INDIVIDUAL_CSV + "A,3,a_c0,1.0\nB,1,a_c0,1.0\nA,3,a_c1,1.0\nB,0,a_c0,1.0\n"
+    path = write(tmp_path, text)
+    with pytest.raises(DataError) as exc:
+        load_individual_csv(path, INDIVIDUAL_SCHEMA)
+    assert str(exc.value) == f"load_individual_csv: {path}: duplicate person_index [0, 1] in unit 'B'"
+
+
+@st.composite
+def coarse_tables(draw):
+    """A random 1-3 feature schema and a valid coarse table over it.
+
+    Binary proportions are stored as (p, 1 - p), so a single-column binary
+    input loads back to the same vector.
+    """
+    schemas = []
+    for i in range(draw(st.integers(1, 3))):
+        n_classes = draw(st.sampled_from([None, 2, 2, 3, 5]))
+        schemas.append(make_schemas([(f"f{i}", n_classes, 0)])[0])
+    units = []
+    for u in range(draw(st.integers(1, 5))):
+        values = {}
+        for sc in schemas:
+            if not sc.is_categorical:
+                values[sc.name] = draw(st.just(0.0) | st.floats(0.0, 1e6, allow_subnormal=False))
+                continue
+            weights = draw(st.lists(st.integers(0, 9), min_size=sc.n_classes, max_size=sc.n_classes))
+            weights[0] += sum(weights) == 0
+            props = np.array(weights, dtype=float) / sum(weights)
+            values[sc.name] = np.array([props[0], 1.0 - props[0]]) if sc.n_classes == 2 else props
+        units.append(AggregationUnit(f"u{u}", draw(st.integers(1, 10_000)), values))
+    return schemas, CoarseTable(units)
+
+
+def _single_column_binaries(text, schemas):
+    """Rewrite a canonical coarse CSV so each binary feature is one first-class column."""
+    rows = [line.split(",") for line in text.splitlines()]
+    drop = {f"{sc.name}:{sc.classes[1]}" for sc in schemas if sc.n_classes == 2}
+    rename = {f"{sc.name}:{sc.classes[0]}": sc.name for sc in schemas if sc.n_classes == 2}
+    keep = [i for i, name in enumerate(rows[0]) if name not in drop]
+    rows[0] = [rename.get(name, name) for name in rows[0]]
+    return "\n".join(",".join(row[i] for i in keep) for row in rows) + "\n"
+
+
+def _assert_same_coarse(got, want):
+    assert got.unit_ids == want.unit_ids
+    for g, w in zip(got.units, want.units):
+        assert g.population == w.population and list(g.values) == list(w.values)
+        for name, value in w.values.items():
+            assert type(g.values[name]) is type(value)
+            np.testing.assert_array_equal(g.values[name], value, strict=True)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=coarse_tables(), shuffle=st.randoms(use_true_random=False))
+def test_write_load_round_trips(tmp_path, data, shuffle):
+    schemas, coarse = data
+    path = tmp_path / "coarse.csv"
+    write_coarse_csv(path, coarse, schemas)
+    _assert_same_coarse(load_coarse_csv(path, schemas), coarse)
+    single = write(tmp_path, _single_column_binaries(path.read_text(), schemas), "single.csv")
+    _assert_same_coarse(load_coarse_csv(single, schemas), coarse)
+
+    rng = np.random.default_rng(shuffle.getrandbits(32))
+    blocks = []
+    for unit in coarse.units:
+        n = min(unit.population, 20)
+        columns = {
+            sc.name: rng.integers(0, sc.n_classes, n) if sc.is_categorical else rng.exponential(3.0, n)
+            for sc in schemas
+        }
+        blocks.append(UnitBlock(unit.unit_id, n, columns))
+    people = tmp_path / "people.csv"
+    write_individual_csv(people, IndividualTable(blocks), schemas)
+    header, *body = people.read_text().splitlines()
+    shuffle.shuffle(body)
+    people.write_text("\n".join([header] + body) + "\n")
+    back = load_individual_csv(people, schemas)
+    assert back.unit_ids == list(dict.fromkeys(line.split(",")[0] for line in body))
+    for block in blocks:
+        got = back.block(block.unit_id)
+        assert got.size == block.size
+        np.testing.assert_array_equal(got.person_index, np.arange(block.size), strict=True)
+        for name, col in block.columns.items():
+            np.testing.assert_array_equal(got.columns[name], col, strict=True)
