@@ -18,7 +18,7 @@ from .copula import CopulaModel, fit_copula, sample_all_units
 from .errors import DataError, EstimationError
 from .rng import RngFactory, draw_rows
 from .schema import Coordinate, FeatureSchema, coordinates
-from .tables import CoarseTable, IndividualTable, UnitBlock
+from .tables import CoarseTable, IndividualTable
 
 log = logging.getLogger(__name__)
 
@@ -79,20 +79,13 @@ def partition_batches(
     return core, batches
 
 
-def core_input_matrix(block: UnitBlock, core_schemas: list[FeatureSchema]) -> np.ndarray:
-    """Row-wise core inputs: probability vectors as-is, continuous raw values."""
-    parts = []
-    for sc in core_schemas:
-        col = block.columns[sc.name]
-        if sc.is_categorical:
-            if col.ndim != 2:
-                raise DataError(
-                    f"core_input_matrix: core feature {sc.name!r} already finalized in {block.unit_id!r}"
-                )
-            parts.append(col)
-        else:
-            parts.append(col[:, None])
-    return np.hstack(parts)
+def core_input_matrix(table: IndividualTable, core_schemas: list[FeatureSchema]) -> np.ndarray:
+    """Core inputs of every row of ``table``: probability vectors as-is, continuous raw values."""
+    parts = [table.column(sc.name) for sc in core_schemas]
+    for sc, col in zip(core_schemas, parts):
+        if sc.is_categorical and col.ndim != 2:
+            raise DataError(f"core_input_matrix: core feature {sc.name!r} already finalized")
+    return np.column_stack(parts)
 
 
 def sample_joint_batch(
@@ -219,14 +212,11 @@ def fit_predictor(
     Inputs use the probability vectors directly (soft encoding), with
     continuous inputs standardized.
     """
-    x = np.vstack([core_input_matrix(b, core_schemas) for b in k_table.blocks])
+    x = core_input_matrix(k_table, core_schemas)
     input_coords = coordinates(core_schemas)
-
+    y = k_table.column(target.name)
     if target.is_categorical:
-        probs = np.vstack([b.columns[target.name] for b in k_table.blocks])
-        y = draw_rows(probs, rng.random(probs.shape[0]))
-    else:
-        y = np.concatenate([b.columns[target.name] for b in k_table.blocks])
+        y = draw_rows(y, rng.random(y.shape[0]))
 
     if max_rows is not None and x.shape[0] > max_rows:
         pick = rng.choice(x.shape[0], size=max_rows, replace=False)
@@ -285,19 +275,21 @@ def extend_with_batch(
     for sc in batch_schemas:
         if sc.name not in predictors:
             raise DataError(f"extend_with_batch: no predictor for feature {sc.name!r}")
-    for block in table.blocks:
-        x = core_input_matrix(block, core_schemas)
-        for sc in batch_schemas:
-            pred = predictors[sc.name]
-            if sc.is_categorical:
-                p = pred.predict_proba(x)
-                if mode == "argmax":
-                    hard = np.full_like(p, 1e-9 / sc.n_classes)
-                    hard[np.arange(p.shape[0]), p.argmax(axis=1)] += 1.0 - 1e-9
-                    p = hard
-                block.columns[sc.name] = p
-            else:
-                block.columns[sc.name] = pred.predict_value(x)
+    x = core_input_matrix(table, core_schemas)
+    for sc in batch_schemas:
+        pred = predictors[sc.name]
+        if not sc.is_categorical:
+            # one call per unit: BLAS rounds a row's dot product by where the
+            # row falls in the call, so one stacked call would change output bits
+            for block, rows in zip(table.blocks, table.split(x)):
+                block.columns[sc.name] = pred.predict_value(rows)
+            continue
+        p = pred.predict_proba(x)
+        if mode == "argmax":
+            hard = np.full_like(p, 1e-9 / sc.n_classes)
+            hard[np.arange(p.shape[0]), p.argmax(axis=1)] += 1.0 - 1e-9
+            p = hard
+        table.set_column(sc.name, p)
     return table
 
 

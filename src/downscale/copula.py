@@ -22,7 +22,7 @@ from scipy.special import betainc, betaincinv, ndtr, ndtri
 
 from .errors import DataError, EstimationError
 from .schema import Coordinate, FeatureSchema, coordinates
-from .tables import CoarseTable, UnitBlock
+from .tables import CoarseTable, IndividualTable, UnitBlock
 
 SD_MODES = ("paper", "sqrt_n", "pooled")
 DEFAULT_SD_MODE = "sqrt_n"
@@ -113,10 +113,11 @@ class CopulaModel:
     def __post_init__(self):
         dim = len(self.coordinates)
         if self.correlation.dim != dim:
-            raise EstimationError("copula model: coordinate count does not match correlation dim")
+            raise EstimationError(f"copula model: correlation does not fit the {dim} coordinates")
         for unit_id, specs in self.marginals.items():
             if len(specs) != dim:
-                raise EstimationError(f"copula model: unit {unit_id!r} missing marginals")
+                raise EstimationError(f"copula model: unit {unit_id!r} marginals do not fit "
+                                      f"the {dim} coordinates")
 
 
 def solve_beta(mean, sd):
@@ -292,8 +293,8 @@ def fit_copula(
     return CopulaModel(coords, correlation, marginals, sigma, populations, sd_mode)
 
 
-def _draw_coordinates(model: CopulaModel, unit_ids: list[str], rng_for_unit) -> tuple[np.ndarray, list[int]]:
-    """Stacked raw coordinate draws for ``unit_ids`` plus each unit's row count.
+def _draw_coordinates(model: CopulaModel, unit_ids: list[str], rng_for_unit) -> np.ndarray:
+    """Stacked raw coordinate draws for ``unit_ids``, ``model.populations`` rows each.
 
     Each unit draws its own correlated normals Z from ``rng_for_unit(unit_id)``
     through the Cholesky factor, so its rows do not depend on which other
@@ -301,19 +302,17 @@ def _draw_coordinates(model: CopulaModel, unit_ids: list[str], rng_for_unit) -> 
     maps applied across all units in one vectorized call per coordinate.
     """
     dim = len(model.coordinates)
-    sizes = []
     u_parts = []
     for unit_id in unit_ids:
         if unit_id not in model.marginals:
             raise DataError(f"sample_all_units: unknown unit {unit_id!r}")
         n = model.populations[unit_id]
-        sizes.append(n)
         z = rng_for_unit(unit_id).standard_normal((n, dim)) @ model.correlation.cholesky_factor.T
         u_parts.append(ndtr(z))
     u = np.clip(np.vstack(u_parts), _U_CLIP, 1.0 - _U_CLIP)
     out = np.empty_like(u)
     spec_rows = [model.marginals[unit_id] for unit_id in unit_ids]
-    repeats = np.array(sizes)
+    repeats = np.array([model.populations[unit_id] for unit_id in unit_ids])
     for j in range(dim):
         kind = spec_rows[0][j].kind
         a = np.repeat([row[j].a for row in spec_rows], repeats)
@@ -328,12 +327,12 @@ def _draw_coordinates(model: CopulaModel, unit_ids: list[str], rng_for_unit) -> 
             out[:, j] = col
     if not np.all(np.isfinite(out)):
         raise EstimationError("sample_all_units: non-finite draws")
-    return out, sizes
+    return out
 
 
 def sample_unit_coordinates(model: CopulaModel, unit_id: str, rng: np.random.Generator) -> np.ndarray:
     """Raw coordinate draws for one unit: a (population, dim) array."""
-    return _draw_coordinates(model, [unit_id], lambda _: rng)[0]
+    return _draw_coordinates(model, [unit_id], lambda _: rng)
 
 
 def sample_all_units(
@@ -348,27 +347,18 @@ def sample_all_units(
     into that cell's probability vector; continuous draws are stored
     directly.
     """
-    draws, sizes = _draw_coordinates(model, unit_ids, rng_for_unit)
-    blocks = []
-    offset = 0
-    for unit_id, n in zip(unit_ids, sizes):
-        blocks.append(_pack_block(draws[offset : offset + n], schemas, unit_id))
-        offset += n
-    return blocks
-
-
-def _pack_block(draws: np.ndarray, schemas: list[FeatureSchema], unit_id: str) -> UnitBlock:
-    block = UnitBlock(unit_id, draws.shape[0])
+    draws = _draw_coordinates(model, unit_ids, rng_for_unit)
+    table = IndividualTable([UnitBlock(unit_id, model.populations[unit_id]) for unit_id in unit_ids])
     j = 0
     for sc in schemas:
         if sc.is_categorical:
             raw = np.maximum(draws[:, j : j + sc.n_classes], _PROB_FLOOR)
-            block.columns[sc.name] = raw / raw.sum(axis=1, keepdims=True)
+            table.set_column(sc.name, raw / raw.sum(axis=1, keepdims=True))
             j += sc.n_classes
         else:
-            block.columns[sc.name] = draws[:, j].copy()
+            table.set_column(sc.name, draws[:, j].copy())
             j += 1
-    return block
+    return table.blocks
 
 
 def model_to_json(model: CopulaModel) -> dict:
@@ -387,7 +377,11 @@ def model_to_json(model: CopulaModel) -> dict:
 
 
 def model_from_json(doc: dict) -> CopulaModel:
-    """Inverse of ``model_to_json``; a malformed document raises a builtin error or ``EstimationError``."""
+    """Inverse of ``model_to_json``; a malformed document raises a builtin error or ``EstimationError``.
+
+    Every parameter must be finite, except the ``mu_log`` of -inf of a
+    point mass at 0 (``sigma_log`` 0); beta parameters must be positive.
+    """
     coords = [Coordinate(f, c) for f, c in doc["coordinates"]]
     correlation = CorrelationMatrix.from_entries(np.array(doc["correlation"], dtype=float))
     marginals = {
@@ -395,15 +389,20 @@ def model_from_json(doc: dict) -> CopulaModel:
                   for kind, a, b, mean, sd in specs]
         for unit_id, specs in doc["marginals"].items()
     }
-    if correlation.dim != len(coords) or any(len(specs) != len(coords) for specs in marginals.values()):
-        raise ValueError(f"correlation or marginals do not fit the {len(coords)} coordinates")
-    if any(s.kind not in (BETA, LOGNORMAL) for specs in marginals.values() for s in specs):
-        raise ValueError(f"a marginal is neither {BETA!r} nor {LOGNORMAL!r}")
+    for unit_id, specs in marginals.items():
+        for s in specs:
+            point_mass = s.kind == LOGNORMAL and s.a == -math.inf and s.b == 0.0
+            finite = all(map(math.isfinite, (s.b, s.mean, s.sd))) and (point_mass or math.isfinite(s.a))
+            if s.kind not in (BETA, LOGNORMAL) or not finite or (s.kind == BETA and min(s.a, s.b) <= 0.0):
+                raise ValueError(f"unit {unit_id!r} has an invalid marginal {s}")
+    pooled_sigma = {k: float(v) for k, v in doc["pooled_sigma"].items()}
+    if not all(map(math.isfinite, pooled_sigma.values())):
+        raise ValueError("a pooled sd is not finite")
     return CopulaModel(
         coords,
         correlation,
         marginals,
-        {k: float(v) for k, v in doc["pooled_sigma"].items()},
+        pooled_sigma,
         {k: int(v) for k, v in doc["populations"].items()},
         doc.get("sd_mode", DEFAULT_SD_MODE),
     )

@@ -44,8 +44,10 @@ def size_bucket(n: int) -> str:
 class PairedRows:
     truth: IndividualTable
     generated: IndividualTable
-    # unit_id -> (truth row order, generated row order)
-    order: dict[str, tuple[np.ndarray, np.ndarray]]
+    # permutations of the stacked rows: truth row truth_order[i] pairs with
+    # generated row generated_order[i], and both lie in the same unit
+    truth_order: np.ndarray
+    generated_order: np.ndarray
 
 
 @dataclass
@@ -65,7 +67,7 @@ def align_rows(
     schemas: list[FeatureSchema],
     sort_features: list[str] | None = None,
 ) -> PairedRows:
-    """Pair rows positionally after sorting both sides on the core features.
+    """Pair rows positionally after sorting both sides, unit by unit, on the core features.
 
     ``sort_features`` overrides the default key (all core features in
     declaration order); person index is always the final tiebreak.
@@ -80,28 +82,36 @@ def align_rows(
         if missing:
             raise DataError(f"align_rows: unknown sort features {missing}")
         keys = [by_name[f] for f in sort_features]
-    order = {}
-    for t_block in truth.blocks:
-        g_block = generated.block(t_block.unit_id)
-        if t_block.size != g_block.size:
-            raise DataError(
-                f"align_rows: population mismatch in unit {t_block.unit_id!r} "
-                f"({t_block.size} vs {g_block.size})"
-            )
-        order[t_block.unit_id] = (_sort_order(t_block, keys), _sort_order(g_block, keys))
-    return PairedRows(truth, generated, order)
+    for t, g in zip(truth.blocks, generated.blocks):
+        if t.size != g.size:
+            raise DataError(f"align_rows: population mismatch in unit {t.unit_id!r} ({t.size} vs {g.size})")
+    orders = []
+    for table in (truth, generated):
+        cols = [table.column(sc.name) for sc in keys]
+        for sc, col in zip(keys, cols):
+            if col.ndim != 1:
+                raise DataError(f"align_rows: unfinalized cells for {sc.name!r}")
+        unit = np.repeat(np.arange(len(table.blocks)), table.sizes)
+        # np.lexsort keys run last-to-first and the sort is stable: the unit
+        # first, then the sort features, then the row position (person index)
+        orders.append(np.lexsort((*reversed(cols), unit)))
+    return PairedRows(truth, generated, *orders)
 
 
-def _sort_order(block: UnitBlock, keys: list[FeatureSchema]) -> np.ndarray:
-    cols = []
-    for sc in keys:
-        col = block.columns[sc.name]
-        if col.ndim != 1:
-            raise DataError(f"align_rows: unfinalized cells for {sc.name!r} in {block.unit_id!r}")
-        cols.append(col)
-    cols.append(np.arange(block.size))
-    # np.lexsort keys run last-to-first: person index is the final tiebreak
-    return np.lexsort(tuple(reversed(cols)))
+def _cell_hits(pairs: PairedRows, sc: FeatureSchema) -> np.ndarray:
+    """Per paired row, whether the two tables agree on feature ``sc``."""
+    cells = []
+    for table, order in ((pairs.truth, pairs.truth_order), (pairs.generated, pairs.generated_order)):
+        if any(sc.name not in b.columns for b in table.blocks):
+            raise DataError(f"cell_accuracy: feature {sc.name!r} missing from a table")
+        col = table.column(sc.name)
+        if sc.is_categorical and col.ndim != 1:
+            raise DataError(f"cell_accuracy: unfinalized cells for {sc.name!r}")
+        cells.append(col[order])
+    a, b = cells
+    if sc.is_categorical:
+        return a == b
+    return np.abs(a - b) <= _CONTINUOUS_MATCH_TOL * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
 
 
 def cell_accuracy(pairs: PairedRows, schemas: list[FeatureSchema]) -> AccuracyReport:
@@ -109,64 +119,32 @@ def cell_accuracy(pairs: PairedRows, schemas: list[FeatureSchema]) -> AccuracyRe
 
     ``overall`` averages over all cells globally; ``overall_row_mean``
     averages the per-row fractions, reported alongside for transparency.
+    Every figure is a count of hits over a count of cells.
     """
-    total = 0
-    matched = 0
-    bucket_total: dict[str, int] = {}
-    bucket_match: dict[str, int] = {}
-    bucket_units: dict[str, int] = {}
-    class_total: dict[int, int] = {}
-    class_match: dict[int, int] = {}
-    feat_total: dict[str, int] = {f.name: 0 for f in schemas}
-    feat_match: dict[str, int] = {f.name: 0 for f in schemas}
-    row_fracs: list[np.ndarray] = []
-
-    for t_block in pairs.truth.blocks:
-        g_block = pairs.generated.block(t_block.unit_id)
-        t_order, g_order = pairs.order[t_block.unit_id]
-        bucket = size_bucket(t_block.size)
-        bucket_units[bucket] = bucket_units.get(bucket, 0) + 1
-        row_hits = np.zeros(t_block.size, dtype=np.int64)
-        for sc in schemas:
-            t_col = t_block.columns.get(sc.name)
-            g_col = g_block.columns.get(sc.name)
-            if t_col is None or g_col is None:
-                raise DataError(f"cell_accuracy: feature {sc.name!r} missing from a table")
-            if sc.is_categorical:
-                if t_col.ndim != 1 or g_col.ndim != 1:
-                    raise DataError(f"cell_accuracy: unfinalized cells for {sc.name!r}")
-                hits = t_col[t_order] == g_col[g_order]
-            else:
-                a = t_col[t_order]
-                b = g_col[g_order]
-                hits = np.abs(a - b) <= _CONTINUOUS_MATCH_TOL * np.maximum(
-                    1.0, np.maximum(np.abs(a), np.abs(b))
-                )
-            n_hit = int(hits.sum())
-            row_hits += hits
-            total += t_block.size
-            matched += n_hit
-            bucket_total[bucket] = bucket_total.get(bucket, 0) + t_block.size
-            bucket_match[bucket] = bucket_match.get(bucket, 0) + n_hit
-            feat_total[sc.name] += t_block.size
-            feat_match[sc.name] += n_hit
-            if sc.is_categorical:
-                c = sc.n_classes
-                class_total[c] = class_total.get(c, 0) + t_block.size
-                class_match[c] = class_match.get(c, 0) + n_hit
-        row_fracs.append(row_hits / len(schemas))
-
-    if total == 0:
+    if not schemas or pairs.truth.total_rows() == 0:
         raise DataError("cell_accuracy: no cells to compare")
+    hits = np.column_stack([_cell_hits(pairs, sc) for sc in schemas])  # paired rows x features
+    n_rows, n_feat = hits.shape
+    row_hits = hits.sum(axis=1)
+    feat_hits = hits.sum(axis=0).tolist()
+    sizes = pairs.truth.sizes
+    buckets = np.array([size_bucket(n) for n in sizes.tolist()])
+    row_bucket = np.repeat(buckets, sizes)  # paired rows run unit by unit, in block order
+    present = [label for label, _, _ in SIZE_BUCKETS if label in buckets]
+    by_unit_size = {b: int(row_hits[row_bucket == b].sum()) / (int(sizes[buckets == b].sum()) * n_feat)
+                    for b in present}
+    by_class_count = {}
+    for c in sorted({sc.n_classes for sc in schemas if sc.is_categorical}):
+        class_hits = [h for sc, h in zip(schemas, feat_hits) if sc.is_categorical and sc.n_classes == c]
+        by_class_count[c] = sum(class_hits) / (len(class_hits) * n_rows)
     return AccuracyReport(
-        overall=matched / total,
-        overall_row_mean=float(np.mean(np.concatenate(row_fracs))),
-        by_unit_size={label: bucket_match[label] / bucket_total[label]
-                      for label, _, _ in SIZE_BUCKETS if label in bucket_total},
-        by_class_count={c: class_match[c] / class_total[c] for c in sorted(class_total)},
-        baselines={c: 1.0 / c for c in sorted(class_total)},
-        n_units={label: bucket_units.get(label, 0) for label, _, _ in SIZE_BUCKETS if label in bucket_units},
-        by_feature={f: feat_match[f] / feat_total[f] for f in feat_total},
+        overall=int(row_hits.sum()) / (n_rows * n_feat),
+        overall_row_mean=float(np.mean(row_hits / n_feat)),
+        by_unit_size=by_unit_size,
+        by_class_count=by_class_count,
+        baselines={c: 1.0 / c for c in by_class_count},
+        n_units={b: int((buckets == b).sum()) for b in present},
+        by_feature={sc.name: h / n_rows for sc, h in zip(schemas, feat_hits)},
     )
 
 

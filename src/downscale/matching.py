@@ -38,8 +38,8 @@ def probabilistic_match(
 ) -> list[MatchResult]:
     """Rank the query unit's synthetic rows by distance; return the top k.
 
-    Ties break by person index, which is the row position for a generated
-    pool and the CSV's ``person_index`` for a loaded one.  Continuous
+    Ties break by the block's ``person_index``: the row position for a
+    generated pool and the CSV's ``person_index`` for a loaded one.  Continuous
     distances are scaled by the feature's standard deviation over the whole
     pool; a zero deviation falls back to the raw absolute difference.
     """
@@ -60,7 +60,6 @@ def probabilistic_match(
         block = pool.block(query.unit_id)
     except KeyError:
         raise DataError(f"probabilistic_match: unit {query.unit_id!r} absent from pool") from None
-    pooled_sd = _pooled_sds(pool, schemas, query.attributes)
     distance = np.zeros(block.size)
     for name, value in query.attributes.items():
         sc = by_name[name]
@@ -78,12 +77,11 @@ def probabilistic_match(
                 d = (col != q_idx).astype(float)
         else:
             delta = np.abs(col - _number(value, f"value for {name!r}"))
-            sd = pooled_sd[name]
+            sd = float(pool.column(name).std())
             d = delta / sd if sd > 0 else delta
         distance += weight * d
 
-    person_index = np.arange(block.size) if block.person_index is None else block.person_index
-    order = np.lexsort((person_index, distance))
+    order = np.lexsort((block.person_index, distance))
     top = order[: min(k, block.size)]
     results = []
     for idx in top:
@@ -93,7 +91,7 @@ def probabilistic_match(
             if col is None:
                 continue
             cells[sc.name] = sc.classes[col[idx]] if sc.is_categorical else float(col[idx])
-        results.append(MatchResult(int(person_index[idx]), float(distance[idx]), cells))
+        results.append(MatchResult(int(block.person_index[idx]), float(distance[idx]), cells))
     return results
 
 
@@ -103,14 +101,3 @@ def _number(value, what: str) -> float:
     except (TypeError, ValueError):
         raise DataError(f"probabilistic_match: {what} is not a number: {value!r}") from None
 
-
-def _pooled_sds(
-    pool: IndividualTable, schemas: list[FeatureSchema], attributes: dict
-) -> dict[str, float]:
-    out = {}
-    for sc in schemas:
-        if sc.is_categorical or sc.name not in attributes:
-            continue
-        values = np.concatenate([b.columns[sc.name] for b in pool.blocks])
-        out[sc.name] = float(values.std())
-    return out

@@ -65,7 +65,9 @@ def generate(
     """Run the four-phase pipeline and return the finalized individual table.
 
     A previously fitted ``model`` (plus ``predictors``) can be supplied to
-    skip re-estimation; it must have been fitted with the same ``sd_mode``.
+    skip re-estimation; it must have been fitted with the same ``sd_mode``,
+    and its predictors must be one per batch feature, with the feature's
+    classes and the core coordinates as input.
     Sampling and scaling still run under ``seed``.
     """
     if sd_mode not in SD_MODES:
@@ -85,7 +87,7 @@ def generate(
         if model is None:
             model = fit_copula(coarse, core, report.flagged, sd_mode)
         else:
-            _check_model(model, coarse, core, sd_mode)
+            _check_model(model, predictors, coarse, core, batches, sd_mode)
         blocks = sample_all_units(model, core, coarse.unit_ids, lambda uid: rngf.stream("core", uid))
         table = IndividualTable(blocks)
 
@@ -139,7 +141,8 @@ def generate(
     return GenerationResult(table, report, manifest, model, predictors)
 
 
-def _check_model(model: CopulaModel, coarse: CoarseTable, core: list[FeatureSchema], sd_mode: str) -> None:
+def _check_model(model: CopulaModel, predictors: list[Predictor] | None, coarse: CoarseTable,
+                 core: list[FeatureSchema], batches: list[list[FeatureSchema]], sd_mode: str) -> None:
     expected = coordinates(core)
     if model.coordinates != expected:
         raise DataError("generate: supplied model coordinates do not match the core schema")
@@ -153,3 +156,15 @@ def _check_model(model: CopulaModel, coarse: CoarseTable, core: list[FeatureSche
     for unit in coarse.units:
         if model.populations.get(unit.unit_id) != unit.population:
             raise DataError(f"generate: supplied model population mismatch for {unit.unit_id!r}")
+    if predictors is None:
+        return
+    features = [sc for batch in batches for sc in batch]
+    for sc in features:
+        found = [p for p in predictors if p.target == sc.name]
+        if len(found) != 1:
+            raise DataError(f"generate: supplied model has {len(found)} predictors for feature {sc.name!r}")
+        if (found[0].classes, found[0].input_coords) != (sc.classes, expected):
+            raise DataError(f"generate: supplied predictor for feature {sc.name!r} does not fit its "
+                            f"classes {list(sc.classes)} or the core coordinates")
+    if len(predictors) != len(features):
+        raise DataError("generate: supplied model has predictors for features outside the batches")

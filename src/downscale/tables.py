@@ -21,6 +21,8 @@ import numpy as np
 from .errors import DataError
 from .schema import FeatureSchema, coordinates
 
+# a k-class feature's proportions may sum to within (k // 2) * PROPORTION_SUM_TOL of one:
+# rounding k cells to three decimals moves their sum by at most k/2 whole thousandths
 PROPORTION_SUM_TOL = 1e-3
 
 
@@ -75,14 +77,18 @@ class UnitBlock:
     Finalized categorical columns are 1-D integer arrays of class indices;
     intermediate categorical columns are (n, k) probability matrices.
     Continuous columns are 1-D float arrays.  A block read from a CSV keeps
-    its rows' ascending ``person_index`` values; a generated block has none
-    and its rows are numbered by position.
+    its rows' ascending ``person_index`` values; a generated block numbers
+    its rows 0..size-1.
     """
 
     unit_id: str
     size: int
     columns: dict[str, np.ndarray] = field(default_factory=dict)
     person_index: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.person_index is None:
+            self.person_index = np.arange(self.size)
 
 
 @dataclass
@@ -102,6 +108,25 @@ class IndividualTable:
     def total_rows(self) -> int:
         return sum(b.size for b in self.blocks)
 
+    @property
+    def sizes(self) -> np.ndarray:
+        """Per-block row counts, in block order."""
+        return np.array([b.size for b in self.blocks], dtype=np.int64)
+
+    def column(self, name: str) -> np.ndarray:
+        """A feature's cells over all rows in block order; rebuilt on each call to follow column edits."""
+        return np.concatenate([b.columns[name] for b in self.blocks])
+
+    def split(self, values: np.ndarray) -> list[np.ndarray]:
+        """Cut an array stacked over all rows, in block order, into per-block views."""
+        ends = np.cumsum(self.sizes).tolist()
+        return [values[start:end] for start, end in zip([0] + ends, ends)]
+
+    def set_column(self, name: str, values: np.ndarray) -> None:
+        """Store a feature stacked over all rows as per-block views of ``values``."""
+        for block, part in zip(self.blocks, self.split(values)):
+            block.columns[name] = part
+
     def is_finalized(self, schemas: list[FeatureSchema]) -> bool:
         for block in self.blocks:
             for sc in schemas:
@@ -114,9 +139,10 @@ class IndividualTable:
 def load_coarse_csv(path: str | Path, schemas: list[FeatureSchema]) -> CoarseTable:
     """Read a coarse CSV into a validated CoarseTable.
 
-    Proportion vectors within 1e-3 of summing to one are renormalized;
-    larger deviations are rejected.  Binary categorical features may be
-    given as a single column holding the first class's proportion.
+    Proportion vectors of k classes within (k // 2) * 1e-3 of summing to
+    one are renormalized; larger deviations are rejected.  Binary
+    categorical features may be given as a single column holding the first
+    class's proportion.
     """
     position, columns = _read_csv(path, "load_coarse_csv")
     for name in ("unit_id", "population"):
@@ -162,9 +188,11 @@ def load_coarse_csv(path: str | Path, schemas: list[FeatureSchema]) -> CoarseTab
         _reject(((x < 0.0) | (x > 1.0)).any(axis=1),
                 lambda i: f"proportion outside [0, 1] for {sc.name!r} in unit {unit_ids[i]!r}")
         totals = x.sum(axis=1)
-        _reject(np.abs(totals - 1.0) > PROPORTION_SUM_TOL,
+        tol = sc.n_classes // 2 * PROPORTION_SUM_TOL
+        # the 1e-12 absorbs the float error of summing decimal cells
+        _reject(np.abs(totals - 1.0) > tol + 1e-12,
                 lambda i: f"proportions of {sc.name!r} in unit {unit_ids[i]!r} sum to {totals[i]:.6f} "
-                          f"(tolerance {PROPORTION_SUM_TOL})")
+                          f"(tolerance {tol:g})")
         # renormalize rounded published proportions, but leave float noise
         # alone so write -> load is the exact identity
         off = np.abs(totals - 1.0) > 1e-12
@@ -271,7 +299,7 @@ def write_individual_csv(path: str | Path, table: IndividualTable, schemas: list
             cells = [block.columns[sc.name].tolist() for sc in schemas]
             cells = [[sc.classes[i] for i in col] if sc.is_categorical else [repr(float(v)) for v in col]
                      for sc, col in zip(schemas, cells)]
-            yield from zip(repeat(block.unit_id), range(block.size), *cells)
+            yield from zip(repeat(block.unit_id), block.person_index.tolist(), *cells)
 
     write_rows_csv(path, rows())
 
@@ -304,7 +332,9 @@ def load_individual_csv(path: str | Path, schemas: list[FeatureSchema]) -> Indiv
         values = np.unique(person_index[1:][repeated & (codes[1:] == unit)]).tolist()
         raise DataError(f"{where}: duplicate person_index {values[:5]} in unit {unit_ids[unit]!r}")
 
-    parsed: dict[str, np.ndarray] = {}
+    table = IndividualTable([UnitBlock(uid, n) for uid, n in zip(unit_ids, np.bincount(codes).tolist())])
+    for block, index in zip(table.blocks, table.split(person_index)):
+        block.person_index = index
     for sc in schemas:
         texts = columns[position[sc.name]]
         if sc.is_categorical:
@@ -317,9 +347,5 @@ def load_individual_csv(path: str | Path, schemas: list[FeatureSchema]) -> Indiv
                                 f"in unit {unit_col[texts.index(label)]!r}") from None
         else:
             col = np.array(_parse_column(float, texts, sc.name, where, unit_col), dtype=float)
-        parsed[sc.name] = col[order]
-    ends = np.cumsum(np.bincount(codes)).tolist()
-    return IndividualTable([
-        UnitBlock(uid, e - s, {name: col[s:e] for name, col in parsed.items()}, person_index[s:e])
-        for uid, s, e in zip(unit_ids, [0] + ends, ends)
-    ])
+        table.set_column(sc.name, col[order])
+    return table

@@ -161,7 +161,7 @@ def test_predictor_continuous_target_linear():
         "a": np.array([[0.2, 0.8], [0.8, 0.2], [0.5, 0.5], [1.0, 0.0]]),
         "x": np.array([1.0, 5.0, 2.5, 9.0]),
     })
-    got = pred.predict_value(core_input_matrix(test_block, core))
+    got = pred.predict_value(core_input_matrix(IndividualTable([test_block]), core))
     want = 2.0 * test_block.columns["x"] + 3.0 * test_block.columns["a"][:, 0] + 1.0
     np.testing.assert_allclose(got, want, rtol=1e-6)
 

@@ -347,6 +347,13 @@ def _null_spec_value(doc):
     specs[0][2] = None
 
 
+def _spec_value(index, position, value):
+    """Set field ``position`` (kind, a, b, mean, sd) of marginal ``index`` of the first unit."""
+    def edit(doc):
+        next(iter(doc["copula"]["marginals"].values()))[index][position] = value
+    return edit
+
+
 @pytest.mark.parametrize("text, edit, expected", [
     ('{"copula": ', None, "Expecting value"),
     ("[1, 2]", None, "list indices must be integers"),
@@ -359,8 +366,15 @@ def _null_spec_value(doc):
     (None, _null_spec_value, "not 'NoneType'"),
     (None, _wrong_type_marginals, "'list' object has no attribute 'items'"),
     (None, _string_predictor_scale, "could not convert string to float: 'wide'"),
+    (None, _spec_value(3, 3, float("nan")), "invalid marginal MarginalSpec(kind='lognormal'"),
+    (None, _spec_value(3, 4, float("inf")), "sd=inf"),
+    (None, _spec_value(0, 1, float("nan")), "invalid marginal MarginalSpec(kind='beta', a=nan"),
+    (None, _spec_value(0, 2, 0.0), "invalid marginal MarginalSpec(kind='beta'"),
+    (None, _spec_value(0, 1, None), "a=-inf"),
+    (None, _spec_value(3, 1, None), "a=-inf"),
 ], ids=["truncated", "not-an-object", "no-coordinates", "not-pd", "nan-correlation", "ragged-marginal",
-        "missing-marginal", "string-mean", "null-value", "marginals-list", "string-predictor-scale"])
+        "missing-marginal", "string-mean", "null-value", "marginals-list", "string-predictor-scale",
+        "nan-lognormal-mean", "infinite-sd", "nan-alpha", "zero-beta", "null-alpha", "spread-point-mass"])
 def test_malformed_model_file_is_one_error_line(fixture_paths, capsys, text, edit, expected):
     tmp_path, schema_path, coarse_path, _ = fixture_paths
     model = tmp_path / "model.json"
@@ -395,3 +409,43 @@ def test_match_query_of_the_wrong_shape_is_a_clean_error(fixture_paths, capsys, 
     assert main(["match", "--schema", str(schema_path), "--pool", str(out), "--query", str(query)]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert err == [f"error: match: {expected}"]
+
+
+def _drop_class(doc):
+    pred = doc["predictors"][0]
+    pred["classes"] = pred["classes"][:1]
+
+
+def _second_predictor(doc):
+    doc["predictors"].append(dict(doc["predictors"][0]))
+
+
+def _foreign_predictor(doc):
+    doc["predictors"].append(dict(doc["predictors"][0], target="spend"))
+
+
+def _other_inputs(doc):
+    doc["predictors"][0]["input_coords"] = doc["predictors"][0]["input_coords"][::-1]
+
+
+_NOT_FIT = "supplied predictor for feature 'online' does not fit its classes ['no', 'yes'] or the core coordinates"
+
+
+@pytest.mark.parametrize("edit, expected", [
+    (_drop_class, _NOT_FIT),
+    (_second_predictor, "supplied model has 2 predictors for feature 'online'"),
+    (_foreign_predictor, "supplied model has predictors for features outside the batches"),
+    (_other_inputs, _NOT_FIT),
+], ids=["dropped-class", "two-predictors", "foreign-predictor", "other-inputs"])
+def test_supplied_predictors_must_fit_the_batch_features(fixture_paths, capsys, edit, expected):
+    tmp_path, schema_path, coarse_path, _ = fixture_paths
+    model = tmp_path / "model.json"
+    assert run_generate(tmp_path, schema_path, coarse_path, "a.csv", extra=["--save-model", str(model)])[0] == 0
+    doc = json.loads(model.read_text())
+    edit(doc)
+    model.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code, out = run_generate(tmp_path, schema_path, coarse_path, "b.csv", extra=["--load-model", str(model)])
+    assert code == 1
+    assert capsys.readouterr().err.strip().splitlines() == [f"error: phase2/copula: generate: {expected}"]
+    assert not out.exists()

@@ -18,6 +18,8 @@ from downscale import (
     write_coarse_csv,
     write_individual_csv,
 )
+from downscale.evaluation import default_study_config, generate_truth
+from downscale.rng import stream
 from downscale.schema import coordinates
 from conftest import make_coarse, make_schemas
 
@@ -387,3 +389,64 @@ def test_write_load_round_trips(tmp_path, data, shuffle):
         np.testing.assert_array_equal(got.person_index, np.arange(block.size), strict=True)
         for name, col in block.columns.items():
             np.testing.assert_array_equal(got.columns[name], col, strict=True)
+
+
+def test_person_index_is_kept_on_rewrite(tmp_path):
+    text = "unit_id,person_index,a,x\nA,20,a_c1,2.0\nA,10,a_c0,1.5\n"
+    table = load_individual_csv(write(tmp_path, text), INDIVIDUAL_SCHEMA)
+    out = tmp_path / "again.csv"
+    write_individual_csv(out, table, INDIVIDUAL_SCHEMA)
+    assert out.read_text().splitlines() == ["unit_id,person_index,a,x", "A,10,a_c0,1.5", "A,20,a_c1,2.0"]
+
+
+def test_generated_block_numbers_its_rows():
+    np.testing.assert_array_equal(UnitBlock("u", 3).person_index, [0, 1, 2])
+
+
+def test_column_stacks_blocks_and_set_column_splits_them_back():
+    table = IndividualTable([UnitBlock("A", 2, {"x": np.array([1.0, 2.0])}),
+                             UnitBlock("B", 1, {"x": np.array([3.0])})])
+    np.testing.assert_array_equal(table.column("x"), [1.0, 2.0, 3.0])
+    probs = np.arange(6.0).reshape(3, 2)
+    table.set_column("p", probs)
+    np.testing.assert_array_equal(table.block("B").columns["p"], [[4.0, 5.0]])
+    assert all(np.shares_memory(b.columns["p"], probs) for b in table.blocks)
+    np.testing.assert_array_equal(table.column("p"), probs)
+
+
+def _rounded_study_csv(tmp_path):
+    """The 500-unit simulation study's coarse CSV with every proportion rounded to 3 decimals."""
+    truth, schemas = generate_truth(default_study_config(), stream(3, "truth"))
+    path = tmp_path / "study.csv"
+    write_coarse_csv(path, aggregate(truth, schemas), schemas)
+    header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+    rows = [row[:2] + [f"{float(v):.3f}" for v in row[2:]] for row in rows]
+    return path, header, rows, schemas
+
+
+def test_study_table_rounded_to_three_decimals_loads(tmp_path):
+    path, header, rows, schemas = _rounded_study_csv(tmp_path)
+    path.write_text("\n".join(",".join(r) for r in [header] + rows) + "\n")
+    coarse = load_coarse_csv(path, schemas)
+    for sc in schemas:
+        np.testing.assert_allclose(coarse.matrix([sc]).sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+
+def test_proportion_sum_tolerance_grows_by_a_thousandth_per_two_classes(tmp_path):
+    path, header, rows, schemas = _rounded_study_csv(tmp_path)
+    age = [i for i, name in enumerate(header) if name.startswith("age:")]
+
+    def load_with_last_age_cell(text):
+        # unit 0's seven age cells: six of 0.147, then ``text``
+        for i in age:
+            rows[0][i] = "0.147"
+        rows[0][age[-1]] = text
+        path.write_text("\n".join(",".join(r) for r in [header] + rows) + "\n")
+        return load_coarse_csv(path, schemas)
+
+    # 1.003 is within 7 // 2 thousandths of one, 1.004 is not
+    assert abs(load_with_last_age_cell("0.121").units[0].values["age"].sum() - 1.0) < 1e-12
+    with pytest.raises(DataError) as exc:
+        load_with_last_age_cell("0.122")
+    assert str(exc.value) == ("load_coarse_csv: proportions of 'age' in unit 'unit0000' "
+                              "sum to 1.004000 (tolerance 0.003)")
