@@ -14,7 +14,7 @@ from downscale import (
     parse_schema,
     run_simulation_study,
 )
-from downscale.evaluation import size_bucket
+from downscale.evaluation import SIZE_BUCKETS, AccuracyReport, size_bucket
 from downscale.rng import stream
 from conftest import make_schemas
 
@@ -194,3 +194,53 @@ def test_simulation_study_smoke():
         assert 0.0 < report.overall <= 1.0
         assert set(report.baselines) == {2, 3, 5, 7, 13}
         assert sum(report.n_units.values()) == 25
+
+
+def _per_unit_report(truth, generated, schemas):
+    """Reference scoring: sort each unit on its own, count hits in dicts."""
+    keys = [sc.name for sc in schemas if sc.core]
+    cells, hits, rows = {}, {}, []
+    for t, g in zip(truth.blocks, generated.blocks):
+        t_order, g_order = (np.lexsort([b.columns[k] for k in reversed(keys)]) for b in (t, g))
+        row = np.zeros(t.size, dtype=np.int64)
+        for sc in schemas:
+            a, b = t.columns[sc.name][t_order], g.columns[sc.name][g_order]
+            scale = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+            hit = a == b if sc.is_categorical else np.abs(a - b) <= 1e-9 * scale
+            row += hit
+            for group in ("all", size_bucket(t.size), sc.name) + ((sc.n_classes,) if sc.is_categorical else ()):
+                cells[group] = cells.get(group, 0) + t.size
+                hits[group] = hits.get(group, 0) + int(hit.sum())
+        rows.append(row / len(schemas))
+    ratio = {group: hits[group] / cells[group] for group in cells}
+    classes = sorted(sc.n_classes for sc in schemas if sc.is_categorical)
+    return AccuracyReport(
+        overall=ratio["all"],
+        overall_row_mean=float(np.mean(np.concatenate(rows))),
+        by_unit_size={b: ratio[b] for b, _, _ in SIZE_BUCKETS if b in ratio},
+        by_class_count={c: ratio[c] for c in classes},
+        baselines={c: 1.0 / c for c in classes},
+        n_units={b: sum(size_bucket(t.size) == b for t in truth.blocks) for b, _, _ in SIZE_BUCKETS if b in ratio},
+        by_feature={sc.name: ratio[sc.name] for sc in schemas},
+    )
+
+
+def test_report_equals_a_per_unit_count():
+    config = default_study_config()
+    config.update(units=60, size_low=1)
+    config["features"] = config["features"] + [{"name": "spend", "kind": "continuous", "batch": 1, "core": False}]
+    truth, schemas = generate_truth(config, stream(5, "truth"))
+    rng = np.random.default_rng(5)
+    blocks = []
+    for t in truth.blocks:
+        columns = {}
+        for sc in schemas:
+            col = t.columns[sc.name][rng.permutation(t.size)]
+            noise = rng.random(t.size) < 0.5
+            col[noise] = rng.integers(0, sc.n_classes, noise.sum()) if sc.is_categorical else 1.0
+            columns[sc.name] = col
+        blocks.append(UnitBlock(t.unit_id, t.size, columns))
+    generated = IndividualTable(blocks)
+    assert {size_bucket(t.size) for t in truth.blocks} == {label for label, _, _ in SIZE_BUCKETS}
+    report = cell_accuracy(align_rows(truth, generated, schemas), schemas)
+    assert report == _per_unit_report(truth, generated, schemas)
