@@ -281,8 +281,7 @@ def extend_with_batch(
         if not sc.is_categorical:
             # one call per unit: BLAS rounds a row's dot product by where the
             # row falls in the call, so one stacked call would change output bits
-            for block, rows in zip(table.blocks, table.split(x)):
-                block.columns[sc.name] = pred.predict_value(rows)
+            table.set_column(sc.name, np.concatenate([pred.predict_value(rows) for rows in table.split(x)]))
             continue
         p = pred.predict_proba(x)
         if mode == "argmax":
@@ -308,7 +307,10 @@ def predictor_to_json(pred: Predictor) -> dict:
 
 
 def predictor_from_json(doc: dict) -> Predictor:
-    return Predictor(
+    """Inverse of ``predictor_to_json``; an unknown kind, an array that does not
+    fit the inputs or classes, a non-finite value or a ``scale`` entry <= 0
+    raises ``ValueError``."""
+    pred = Predictor(
         target=doc["target"],
         kind=doc["kind"],
         input_coords=[Coordinate(f, c) for f, c in doc["input_coords"]],
@@ -319,3 +321,21 @@ def predictor_from_json(doc: dict) -> Predictor:
         constant_probs=None if doc["constant_probs"] is None else np.array(doc["constant_probs"], dtype=float),
         constant_value=float(doc["constant_value"]),
     )
+    p, c = len(pred.input_coords), len(pred.classes)
+    # ``generate`` matches a softmax's row count with its feature's classes
+    rows = len(pred.weights) if pred.weights is not None and pred.weights.ndim == 2 else c
+    weight_shapes = {SOFTMAX: (rows, p + 1), LINEAR: (p + 1,), CONSTANT: None}
+    if pred.kind not in weight_shapes:
+        raise ValueError(f"predictor for {pred.target!r} has unknown kind {pred.kind!r}")
+    shapes = {"weights": weight_shapes[pred.kind], "center": (p,), "scale": (p,),
+              "constant_probs": (c,) if pred.kind == CONSTANT and c else None}
+    for name, shape in shapes.items():
+        value = getattr(pred, name)
+        found = None if value is None else value.shape
+        if found != shape:
+            raise ValueError(f"predictor for {pred.target!r} has {name} of shape {found}, expected {shape}")
+        if value is not None and not np.all(np.isfinite(value)):
+            raise ValueError(f"predictor for {pred.target!r} has a non-finite {name} entry")
+    if not np.isfinite(pred.constant_value) or np.any(pred.scale <= 0.0):
+        raise ValueError(f"predictor for {pred.target!r} has a scale entry <= 0 or a non-finite constant_value")
+    return pred

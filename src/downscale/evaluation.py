@@ -69,11 +69,19 @@ def align_rows(
 ) -> PairedRows:
     """Pair rows positionally after sorting both sides, unit by unit, on the core features.
 
+    Units are paired by id and taken in the truth table's order.
     ``sort_features`` overrides the default key (all core features in
     declaration order); person index is always the final tiebreak.
     """
-    if truth.unit_ids != generated.unit_ids:
-        raise DataError("align_rows: unit sets differ between truth and generated tables")
+    position = {uid: i for i, uid in enumerate(truth.unit_ids)}
+    only = [(uid, "truth") for uid in set(position).difference(generated.unit_ids)]
+    only += [(uid, "generated") for uid in set(generated.unit_ids).difference(position)]
+    if only:
+        uid, side = min(only)
+        raise DataError(f"align_rows: unit sets differ between truth and generated tables "
+                        f"(unit {uid!r} is only in the {side} table)")
+    # each generated block's position in the truth table's unit order
+    rank = np.array([position[uid] for uid in generated.unit_ids], dtype=np.int64)
     if sort_features is None:
         keys = [sc for sc in schemas if sc.core]
     else:
@@ -82,18 +90,22 @@ def align_rows(
         if missing:
             raise DataError(f"align_rows: unknown sort features {missing}")
         keys = [by_name[f] for f in sort_features]
-    for t, g in zip(truth.blocks, generated.blocks):
-        if t.size != g.size:
-            raise DataError(f"align_rows: population mismatch in unit {t.unit_id!r} ({t.size} vs {g.size})")
+    generated_sizes = np.zeros_like(truth.sizes)
+    generated_sizes[rank] = generated.sizes
+    mismatch = np.flatnonzero(truth.sizes != generated_sizes)
+    if mismatch.size:
+        i = mismatch[0]
+        raise DataError(f"align_rows: population mismatch in unit {truth.unit_ids[i]!r} "
+                        f"({truth.sizes[i]} vs {generated_sizes[i]})")
     orders = []
-    for table in (truth, generated):
+    for table, unit_rank in ((truth, np.arange(len(position))), (generated, rank)):
         cols = [table.column(sc.name) for sc in keys]
         for sc, col in zip(keys, cols):
             if col.ndim != 1:
                 raise DataError(f"align_rows: unfinalized cells for {sc.name!r}")
-        unit = np.repeat(np.arange(len(table.blocks)), table.sizes)
-        # np.lexsort keys run last-to-first and the sort is stable: the unit
-        # first, then the sort features, then the row position (person index)
+        unit = np.repeat(unit_rank, table.sizes)
+        # np.lexsort keys run last-to-first and the sort is stable: the unit (in
+        # truth order) first, then the sort features, then the row position (person index)
         orders.append(np.lexsort((*reversed(cols), unit)))
     return PairedRows(truth, generated, *orders)
 
@@ -102,9 +114,10 @@ def _cell_hits(pairs: PairedRows, sc: FeatureSchema) -> np.ndarray:
     """Per paired row, whether the two tables agree on feature ``sc``."""
     cells = []
     for table, order in ((pairs.truth, pairs.truth_order), (pairs.generated, pairs.generated_order)):
-        if any(sc.name not in b.columns for b in table.blocks):
-            raise DataError(f"cell_accuracy: feature {sc.name!r} missing from a table")
-        col = table.column(sc.name)
+        try:
+            col = table.column(sc.name)
+        except KeyError:
+            raise DataError(f"cell_accuracy: feature {sc.name!r} missing from a table") from None
         if sc.is_categorical and col.ndim != 1:
             raise DataError(f"cell_accuracy: unfinalized cells for {sc.name!r}")
         cells.append(col[order])
@@ -228,6 +241,9 @@ def generate_truth(config: dict, rng: np.random.Generator) -> tuple[IndividualTa
         if sc.is_categorical:
             if sc.name in base_probs:
                 base = np.asarray(base_probs[sc.name], dtype=float)
+                if base.shape != (sc.n_classes,) or not np.all(np.isfinite(base) & (base >= 0)) or base.sum() <= 0:
+                    raise DataError(f"generate_truth: base_probs for {sc.name!r} must be {sc.n_classes} "
+                                    f"nonnegative numbers with a positive sum, got {base_probs[sc.name]!r}")
                 base = base / base.sum()
             else:
                 base = rng.dirichlet(np.full(sc.n_classes, 2.0))
@@ -235,6 +251,8 @@ def generate_truth(config: dict, rng: np.random.Generator) -> tuple[IndividualTa
 
     low = int(config.get("size_low", 5))
     high = int(config.get("size_high", 150))
+    if min(low, high) < 1:
+        raise DataError(f"generate_truth: size_low and size_high must be >= 1, got {low} and {high}")
     tilt = float(config.get("size_tilt", 1.8))
     blocks = []
     for m in range(int(config["units"])):

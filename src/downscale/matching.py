@@ -83,16 +83,14 @@ def probabilistic_match(
 
     order = np.lexsort((block.person_index, distance))
     top = order[: min(k, block.size)]
-    results = []
-    for idx in top:
-        cells = {}
-        for sc in schemas:
-            col = block.columns.get(sc.name)
-            if col is None:
-                continue
-            cells[sc.name] = sc.classes[col[idx]] if sc.is_categorical else float(col[idx])
-        results.append(MatchResult(int(block.person_index[idx]), float(distance[idx]), cells))
-    return results
+    cells = {}  # feature -> its cells in the top rows, each column read once
+    for sc in schemas:
+        col = block.columns.get(sc.name)
+        if col is not None:
+            cells[sc.name] = [sc.classes[i] for i in col[top].tolist()] if sc.is_categorical else col[top].tolist()
+    return [MatchResult(int(block.person_index[idx]), float(distance[idx]),
+                        {name: values[rank] for name, values in cells.items()})
+            for rank, idx in enumerate(top)]
 
 
 def _number(value, what: str) -> float:

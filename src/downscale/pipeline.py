@@ -11,8 +11,10 @@ import logging
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import __version__
-from .batching import Predictor, extend_with_batch, fit_predictor, partition_batches, sample_joint_batch
+from .batching import SOFTMAX, Predictor, extend_with_batch, fit_predictor, partition_batches, sample_joint_batch
 from .copula import DEFAULT_SD_MODE, SD_MODES, CopulaModel, fit_copula, sample_all_units
 from .errors import DataError, DownscaleError
 from .outliers import DEFAULT_CONTAMINATION, OutlierReport, flag_outliers, score_units
@@ -88,8 +90,9 @@ def generate(
             model = fit_copula(coarse, core, report.flagged, sd_mode)
         else:
             _check_model(model, predictors, coarse, core, batches, sd_mode)
-        blocks = sample_all_units(model, core, coarse.unit_ids, lambda uid: rngf.stream("core", uid))
-        table = IndividualTable(blocks)
+        table = IndividualTable(
+            sample_all_units(model, core, coarse.unit_ids, lambda uid: rngf.stream("core", uid))
+        )
 
     with _phase("phase3/batches"):
         if predictors is None:
@@ -110,18 +113,16 @@ def generate(
             extend_with_batch(table, core, batch, by_target, phase3_mode)
 
     with _phase("phase4/scaling"):
-        for unit in coarse.units:
-            block = table.block(unit.unit_id)
-            # one stream per unit, consumed feature by feature in schema order
-            rng = rngf.stream("assign", unit.unit_id)
-            for sc in schemas:
-                if sc.is_categorical:
-                    budget = integerize_budget(unit.population, unit.values[sc.name])
-                    block.columns[sc.name] = assign_categories(block.columns[sc.name], budget, rng)
-                else:
-                    block.columns[sc.name] = shift_continuous(
-                        block.columns[sc.name], float(unit.values[sc.name])
-                    )
+        # one stream per unit, consumed feature by feature in schema order
+        rngs = [rngf.stream("assign", uid) for uid in coarse.unit_ids]
+        for sc in schemas:
+            cells = zip(coarse.units, table.split(table.column(sc.name)), rngs)
+            if sc.is_categorical:
+                parts = [assign_categories(col, integerize_budget(unit.population, unit.values[sc.name]), rng)
+                         for unit, col, rng in cells]
+            else:
+                parts = [shift_continuous(col, float(unit.values[sc.name])) for unit, col, _ in cells]
+            table.set_column(sc.name, np.concatenate(parts))
 
     manifest = {
         "tool": "downscale",
@@ -163,7 +164,9 @@ def _check_model(model: CopulaModel, predictors: list[Predictor] | None, coarse:
         found = [p for p in predictors if p.target == sc.name]
         if len(found) != 1:
             raise DataError(f"generate: supplied model has {len(found)} predictors for feature {sc.name!r}")
-        if (found[0].classes, found[0].input_coords) != (sc.classes, expected):
+        pred = found[0]
+        outputs = len(pred.weights) if pred.kind == SOFTMAX else sc.n_classes
+        if (pred.classes, pred.input_coords, outputs) != (sc.classes, expected, sc.n_classes):
             raise DataError(f"generate: supplied predictor for feature {sc.name!r} does not fit its "
                             f"classes {list(sc.classes)} or the core coordinates")
     if len(predictors) != len(features):

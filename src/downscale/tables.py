@@ -12,9 +12,12 @@ feature holding a class label or a nonnegative real.
 from __future__ import annotations
 
 import csv
+from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -72,18 +75,20 @@ class CoarseTable:
 
 @dataclass
 class UnitBlock:
-    """All generated rows of one unit, stored column-wise per feature.
+    """All rows of one unit, stored column-wise per feature.
 
     Finalized categorical columns are 1-D integer arrays of class indices;
     intermediate categorical columns are (n, k) probability matrices.
     Continuous columns are 1-D float arrays.  A block read from a CSV keeps
     its rows' ascending ``person_index`` values; a generated block numbers
-    its rows 0..size-1.
+    its rows 0..size-1.  The blocks of an ``IndividualTable`` are views:
+    their ``columns`` mapping is read-only and holds slices of the table's
+    arrays.
     """
 
     unit_id: str
     size: int
-    columns: dict[str, np.ndarray] = field(default_factory=dict)
+    columns: Mapping[str, np.ndarray] = field(default_factory=dict)
     person_index: np.ndarray | None = None
 
     def __post_init__(self):
@@ -91,12 +96,42 @@ class UnitBlock:
             self.person_index = np.arange(self.size)
 
 
-@dataclass
 class IndividualTable:
-    blocks: list[UnitBlock]
+    """Individuals of every unit, each feature stored once as one array
+    stacked over all rows in block order.
 
-    def __post_init__(self):
+    ``column(name)`` returns that array.  ``blocks`` and ``block(unit_id)``
+    give per-unit views of it: an element written through a view reaches
+    the table, but a view's ``columns`` cannot be reassigned.
+    ``set_column`` is the only writer of a feature.
+    """
+
+    def __init__(self, blocks: list[UnitBlock]):
+        names = list(dict.fromkeys(name for b in blocks for name in b.columns))
+        for b in blocks:
+            for name in names:
+                if name not in b.columns:
+                    raise DataError(f"IndividualTable: unit {b.unit_id!r} lacks feature {name!r}")
+                if len(b.columns[name]) != b.size:
+                    raise DataError(f"IndividualTable: unit {b.unit_id!r} has {len(b.columns[name])} rows "
+                                    f"of feature {name!r}, not {b.size}")
+        self.sizes = np.array([b.size for b in blocks], dtype=np.int64)  # per-block row counts
+        self.sizes.flags.writeable = False
+        ends = np.cumsum(self.sizes).tolist()
+        self._bounds = list(zip([0] + ends, ends))
+        self.person_index = np.concatenate([b.person_index for b in blocks] or [np.zeros(0, np.int64)])
+        self._columns: dict[str, np.ndarray] = {}
+        self._views: list[dict[str, np.ndarray]] = [{} for _ in blocks]
+        self.blocks = [UnitBlock(b.unit_id, b.size, MappingProxyType(view), index)
+                       for b, view, index in zip(blocks, self._views, self.split(self.person_index))]
         self._by_id = {b.unit_id: b for b in self.blocks}
+        for name in names:
+            self.set_column(name, np.concatenate([b.columns[name] for b in blocks]))
+
+    def __reduce__(self):
+        # pickled as plain blocks; unpickling stacks them again
+        return IndividualTable, ([UnitBlock(b.unit_id, b.size, dict(b.columns), b.person_index)
+                                  for b in self.blocks],)
 
     def block(self, unit_id: str) -> UnitBlock:
         return self._by_id[unit_id]
@@ -106,34 +141,30 @@ class IndividualTable:
         return [b.unit_id for b in self.blocks]
 
     def total_rows(self) -> int:
-        return sum(b.size for b in self.blocks)
-
-    @property
-    def sizes(self) -> np.ndarray:
-        """Per-block row counts, in block order."""
-        return np.array([b.size for b in self.blocks], dtype=np.int64)
+        return len(self.person_index)
 
     def column(self, name: str) -> np.ndarray:
-        """A feature's cells over all rows in block order; rebuilt on each call to follow column edits."""
-        return np.concatenate([b.columns[name] for b in self.blocks])
+        """A feature's cells over all rows in block order: the stored array, not a copy."""
+        return self._columns[name]
 
     def split(self, values: np.ndarray) -> list[np.ndarray]:
         """Cut an array stacked over all rows, in block order, into per-block views."""
-        ends = np.cumsum(self.sizes).tolist()
-        return [values[start:end] for start, end in zip([0] + ends, ends)]
+        return [values[start:end] for start, end in self._bounds]
 
     def set_column(self, name: str, values: np.ndarray) -> None:
-        """Store a feature stacked over all rows as per-block views of ``values``."""
-        for block, part in zip(self.blocks, self.split(values)):
-            block.columns[name] = part
+        """Store ``values``, a feature stacked over all rows in block order, as the
+        table's copy of it; every block's view then shows its rows of ``values``."""
+        if len(values) != self.total_rows():
+            raise DataError(f"set_column: {len(values)} values of {name!r} for {self.total_rows()} rows")
+        self._columns[name] = values
+        for view, part in zip(self._views, self.split(values)):
+            view[name] = part
 
     def is_finalized(self, schemas: list[FeatureSchema]) -> bool:
-        for block in self.blocks:
-            for sc in schemas:
-                col = block.columns.get(sc.name)
-                if col is None or (sc.is_categorical and col.ndim != 1):
-                    return False
-        return True
+        return not self.blocks or all(
+            sc.name in self._columns and (not sc.is_categorical or self._columns[sc.name].ndim == 1)
+            for sc in schemas
+        )
 
 
 def load_coarse_csv(path: str | Path, schemas: list[FeatureSchema]) -> CoarseTable:
@@ -165,6 +196,9 @@ def load_coarse_csv(path: str | Path, schemas: list[FeatureSchema]) -> CoarseTab
                 f"(expected {class_cols} or a single binary column)"
             )
     unit_ids = columns[position["unit_id"]]
+    if len(set(unit_ids)) != len(unit_ids):
+        repeated = Counter(unit_ids).most_common(1)[0][0]
+        raise DataError(f"load_coarse_csv: {path} has more than one row for unit {repeated!r}")
 
     def parse(convert, column):
         return _parse_column(convert, columns[position[column]], column, "load_coarse_csv", unit_ids)
@@ -295,11 +329,11 @@ def write_individual_csv(path: str | Path, table: IndividualTable, schemas: list
 
     def rows():
         yield ["unit_id", "person_index"] + [sc.name for sc in schemas]
-        for block in table.blocks:
-            cells = [block.columns[sc.name].tolist() for sc in schemas]
-            cells = [[sc.classes[i] for i in col] if sc.is_categorical else [repr(float(v)) for v in col]
-                     for sc, col in zip(schemas, cells)]
-            yield from zip(repeat(block.unit_id), block.person_index.tolist(), *cells)
+        cells = [table.column(sc.name).tolist() for sc in schemas]
+        cells = [map(sc.classes.__getitem__, col) if sc.is_categorical else (repr(float(v)) for v in col)
+                 for sc, col in zip(schemas, cells)]
+        units = chain.from_iterable(map(repeat, table.unit_ids, table.sizes.tolist()))
+        yield from zip(units, table.person_index.tolist(), *cells)
 
     write_rows_csv(path, rows())
 
@@ -332,9 +366,9 @@ def load_individual_csv(path: str | Path, schemas: list[FeatureSchema]) -> Indiv
         values = np.unique(person_index[1:][repeated & (codes[1:] == unit)]).tolist()
         raise DataError(f"{where}: duplicate person_index {values[:5]} in unit {unit_ids[unit]!r}")
 
-    table = IndividualTable([UnitBlock(uid, n) for uid, n in zip(unit_ids, np.bincount(codes).tolist())])
-    for block, index in zip(table.blocks, table.split(person_index)):
-        block.person_index = index
+    counts = np.bincount(codes)
+    table = IndividualTable([UnitBlock(uid, n, person_index=index) for uid, n, index in
+                             zip(unit_ids, counts.tolist(), np.split(person_index, np.cumsum(counts)[:-1]))])
     for sc in schemas:
         texts = columns[position[sc.name]]
         if sc.is_categorical:

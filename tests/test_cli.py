@@ -134,6 +134,52 @@ def test_simulate_writes_per_seed_and_mean_rows(tmp_path, capsys):
     assert {"0", "1", "mean"} <= seeds
 
 
+def test_evaluate_pairs_units_by_id(fixture_paths, capsys):
+    tmp_path, schema_path, coarse_path, schemas = fixture_paths
+    _, out = run_generate(tmp_path, schema_path, coarse_path, "gen.csv")
+    header, *rows = out.read_text().splitlines()
+    reordered = tmp_path / "reordered.csv"
+    reordered.write_text("\n".join([header] + sorted(rows, key=lambda row: row.split(",")[0], reverse=True)) + "\n")
+    reports = []
+    for generated in (out, reordered):
+        report = tmp_path / f"report-{generated.stem}.csv"
+        assert main(["evaluate", "--schema", str(schema_path), "--truth", str(out),
+                     "--generated", str(generated), "--out", str(report)]) == 0
+        reports.append(report.read_bytes())
+    assert reports[0] == reports[1]
+
+
+def _study_config(**edits):
+    config = {
+        "units": 6,
+        "size_low": 2,
+        "size_high": 12,
+        "features": [
+            {"name": "a", "kind": "categorical", "classes": ["x", "y", "z"]},
+            {"name": "b", "kind": "categorical", "classes": ["p", "q"], "batch": 1, "core": False},
+        ],
+    }
+    return dict(config, **edits)
+
+
+@pytest.mark.parametrize("config, expected", [
+    (_study_config(size_low=0), "size_low and size_high must be >= 1, got 0 and 12"),
+    (_study_config(size_low=-3), "size_low and size_high must be >= 1, got -3 and 12"),
+    (_study_config(size_high=0), "size_low and size_high must be >= 1, got 2 and 0"),
+    (_study_config(base_probs={"a": [0.2, 0.3, 0.4, 0.1]}), "base_probs for 'a' must be 3 nonnegative numbers"),
+    (_study_config(base_probs={"a": [0.5, 0.5]}), "base_probs for 'a' must be 3 nonnegative numbers"),
+    (_study_config(base_probs={"b": [1.2, -0.2]}), "base_probs for 'b' must be 2 nonnegative numbers"),
+    (_study_config(base_probs={"b": [0.0, 0.0]}), "with a positive sum, got [0.0, 0.0]"),
+], ids=["size-low-zero", "size-low-negative", "size-high-zero", "long-base-probs", "short-base-probs",
+        "negative-base-prob", "zero-base-probs"])
+def test_bad_study_config_is_one_error_line(tmp_path, capsys, config, expected):
+    cfg_path = tmp_path / "study.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["simulate", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: generate_truth: ") and expected in err[0]
+
+
 def test_match_cli(fixture_paths, capsys):
     tmp_path, schema_path, coarse_path, schemas = fixture_paths
     _, out = run_generate(tmp_path, schema_path, coarse_path, "pool.csv")
@@ -347,6 +393,16 @@ def _null_spec_value(doc):
     specs[0][2] = None
 
 
+def _predictor(**edits):
+    """Replace fields of the first predictor, each by ``edit(old_value)``."""
+    def edit(doc):
+        pred = doc["predictors"][0]
+        assert pred["kind"] == "softmax"
+        for key, change in edits.items():
+            pred[key] = change(pred[key])
+    return edit
+
+
 def _spec_value(index, position, value):
     """Set field ``position`` (kind, a, b, mean, sd) of marginal ``index`` of the first unit."""
     def edit(doc):
@@ -372,9 +428,29 @@ def _spec_value(index, position, value):
     (None, _spec_value(0, 2, 0.0), "invalid marginal MarginalSpec(kind='beta'"),
     (None, _spec_value(0, 1, None), "a=-inf"),
     (None, _spec_value(3, 1, None), "a=-inf"),
+    (None, _predictor(weights=lambda w: [row[:-1] for row in w]),
+     "predictor for 'online' has weights of shape (2, 4), expected (2, 5)"),
+    (None, _predictor(center=lambda c: c[:-1]), "predictor for 'online' has center of shape (3,), expected (4,)"),
+    (None, _predictor(scale=lambda c: c + [1.0]), "predictor for 'online' has scale of shape (5,), expected (4,)"),
+    (None, _predictor(weights=lambda w: [[None] + row[1:] for row in w]),
+     "predictor for 'online' has a non-finite weights entry"),
+    (None, _predictor(center=lambda c: [float("inf")] + c[1:]), "predictor for 'online' has a non-finite center"),
+    (None, _predictor(scale=lambda c: [0.0] + c[1:]), "predictor for 'online' has a scale entry <= 0"),
+    (None, _predictor(kind=lambda k: "tree"), "predictor for 'online' has unknown kind 'tree'"),
+    (None, _predictor(kind=lambda k: "linear"), "predictor for 'online' has weights of shape (2, 5), expected (5,)"),
+    (None, _predictor(kind=lambda k: "constant", weights=lambda w: None, constant_probs=lambda p: [1.0]),
+     "predictor for 'online' has constant_probs of shape (1,), expected (2,)"),
+    (None, _predictor(kind=lambda k: "constant", weights=lambda w: None),
+     "predictor for 'online' has constant_probs of shape None, expected (2,)"),
+    (None, _predictor(constant_probs=lambda p: [0.5, 0.5]),
+     "predictor for 'online' has constant_probs of shape (2,), expected None"),
+    (None, _predictor(constant_value=lambda v: float("nan")), "non-finite constant_value"),
 ], ids=["truncated", "not-an-object", "no-coordinates", "not-pd", "nan-correlation", "ragged-marginal",
         "missing-marginal", "string-mean", "null-value", "marginals-list", "string-predictor-scale",
-        "nan-lognormal-mean", "infinite-sd", "nan-alpha", "zero-beta", "null-alpha", "spread-point-mass"])
+        "nan-lognormal-mean", "infinite-sd", "nan-alpha", "zero-beta", "null-alpha", "spread-point-mass",
+        "short-weight-rows", "short-center", "long-scale", "null-weight", "infinite-center", "zero-scale",
+        "unknown-kind", "linear-with-a-matrix", "short-constant-probs", "constant-without-probs",
+        "softmax-with-constant-probs", "nan-constant-value"])
 def test_malformed_model_file_is_one_error_line(fixture_paths, capsys, text, edit, expected):
     tmp_path, schema_path, coarse_path, _ = fixture_paths
     model = tmp_path / "model.json"
@@ -424,6 +500,11 @@ def _foreign_predictor(doc):
     doc["predictors"].append(dict(doc["predictors"][0], target="spend"))
 
 
+def _extra_weight_row(doc):
+    weights = doc["predictors"][0]["weights"]
+    weights.append(weights[0])
+
+
 def _other_inputs(doc):
     doc["predictors"][0]["input_coords"] = doc["predictors"][0]["input_coords"][::-1]
 
@@ -436,7 +517,8 @@ _NOT_FIT = "supplied predictor for feature 'online' does not fit its classes ['n
     (_second_predictor, "supplied model has 2 predictors for feature 'online'"),
     (_foreign_predictor, "supplied model has predictors for features outside the batches"),
     (_other_inputs, _NOT_FIT),
-], ids=["dropped-class", "two-predictors", "foreign-predictor", "other-inputs"])
+    (_extra_weight_row, _NOT_FIT),
+], ids=["dropped-class", "two-predictors", "foreign-predictor", "other-inputs", "extra-weight-row"])
 def test_supplied_predictors_must_fit_the_batch_features(fixture_paths, capsys, edit, expected):
     tmp_path, schema_path, coarse_path, _ = fixture_paths
     model = tmp_path / "model.json"

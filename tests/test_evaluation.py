@@ -111,6 +111,39 @@ def test_unit_set_mismatch_rejected():
         align_rows(t, g, schemas)
 
 
+def test_unit_only_in_one_table_is_named():
+    schemas = make_schemas([("a", 2, 0)])
+    t = IndividualTable([UnitBlock(u, 1, {"a": np.array([0])}) for u in ("u", "w")])
+    g = IndividualTable([UnitBlock(u, 1, {"a": np.array([0])}) for u in ("w", "v")])
+    with pytest.raises(DataError, match="unit 'u' is only in the truth table"):
+        align_rows(t, g, schemas)
+    with pytest.raises(DataError, match="unit 'u' is only in the generated table"):
+        align_rows(g, t, schemas)
+
+
+def test_units_are_paired_by_id_not_by_position():
+    schemas = make_schemas([("a", 3, 0), ("b", 2, 1), ("x", None, 1)])
+    rng = np.random.default_rng(5)
+
+    def blocks(sizes):
+        return [UnitBlock(uid, n, {"a": rng.integers(0, 3, n), "b": rng.integers(0, 2, n),
+                                   "x": rng.integers(0, 2, n) * 1.5}) for uid, n in sizes]
+
+    sizes = [("A", 4), ("B", 12), ("C", 30)]
+    truth = IndividualTable(blocks(sizes))
+    generated = blocks(sizes)
+    aligned = cell_accuracy(align_rows(truth, IndividualTable(generated), schemas), schemas)
+    reordered = IndividualTable([generated[1], generated[2], generated[0]])
+    pairs = align_rows(truth, reordered, schemas)
+    assert cell_accuracy(pairs, schemas) == aligned
+    # every pair lies in one unit: the generated rows follow the truth table's unit order
+    units = np.repeat(np.array(truth.unit_ids), truth.sizes)
+    np.testing.assert_array_equal(units[pairs.truth_order],
+                                  np.repeat(np.array(reordered.unit_ids), reordered.sizes)[pairs.generated_order])
+    with pytest.raises(DataError, match=r"population mismatch in unit 'C' \(30 vs 29\)"):
+        align_rows(truth, IndividualTable(blocks([("C", 29), ("A", 4), ("B", 12)])), schemas)
+
+
 def test_size_buckets():
     assert size_bucket(1) == "1-10"
     assert size_bucket(10) == "1-10"

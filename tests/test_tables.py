@@ -414,6 +414,69 @@ def test_column_stacks_blocks_and_set_column_splits_them_back():
     np.testing.assert_array_equal(table.column("p"), probs)
 
 
+def _two_unit_table():
+    blocks = [UnitBlock("A", 2, {"a": np.array([0, 1]), "x": np.array([1.0, 2.0])}),
+              UnitBlock("B", 3, {"a": np.array([2, 2, 0]), "x": np.array([3.0, 4.0, 5.0])}, np.array([4, 7, 9]))]
+    return blocks, IndividualTable(blocks)
+
+
+def test_each_feature_is_stored_once():
+    blocks, table = _two_unit_table()
+    for name in ("a", "x"):
+        assert table.column(name) is table.column(name)
+        assert all(np.shares_memory(b.columns[name], table.column(name)) for b in table.blocks)
+    np.testing.assert_array_equal(table.person_index, [0, 1, 4, 7, 9])
+    np.testing.assert_array_equal(table.block("B").person_index, [4, 7, 9])
+    assert table.blocks is table.blocks and table.block("B") is table.blocks[1]
+    table.block("B").columns["a"][0] = 1  # an element written through a view reaches the table
+    np.testing.assert_array_equal(table.column("a"), [0, 1, 1, 2, 0])
+    table.set_column("x", np.array([9.0, 8.0, 7.0, 6.0, 5.0]))
+    np.testing.assert_array_equal(table.block("B").columns["x"], [7.0, 6.0, 5.0])
+    with pytest.raises(TypeError):
+        table.blocks[0].columns["x"] = np.zeros(2)
+    with pytest.raises(DataError, match="4 values of 'x' for 5 rows"):
+        table.set_column("x", np.zeros(4))
+    # the caller's blocks are neither changed nor shared
+    np.testing.assert_array_equal(blocks[1].columns["a"], [2, 2, 0])
+    np.testing.assert_array_equal(blocks[1].columns["x"], [3.0, 4.0, 5.0])
+    assert type(blocks[0].columns) is dict and not np.shares_memory(blocks[0].columns["x"], table.column("x"))
+
+
+def test_a_table_pickles_with_its_views():
+    _, table = _two_unit_table()
+    back = pickle.loads(pickle.dumps(table))
+    assert back.unit_ids == ["A", "B"]
+    np.testing.assert_array_equal(back.person_index, table.person_index)
+    for name in ("a", "x"):
+        np.testing.assert_array_equal(back.column(name), table.column(name))
+        assert all(np.shares_memory(b.columns[name], back.column(name)) for b in back.blocks)
+
+
+def test_empty_table():
+    table = IndividualTable([])
+    assert table.blocks == [] and table.unit_ids == [] and table.total_rows() == 0
+    assert table.sizes.shape == (0,)
+
+
+@pytest.mark.parametrize("blocks, message", [
+    ([UnitBlock("A", 1, {"a": np.array([0]), "x": np.array([1.0])}), UnitBlock("B", 1, {"a": np.array([1])})],
+     "unit 'B' lacks feature 'x'"),
+    ([UnitBlock("A", 1, {"a": np.array([0])}), UnitBlock("B", 1, {"a": np.array([1]), "x": np.array([1.0])})],
+     "unit 'A' lacks feature 'x'"),
+    ([UnitBlock("A", 2, {"a": np.array([0])})], "unit 'A' has 1 rows of feature 'a', not 2"),
+], ids=["missing-later", "missing-first", "short"])
+def test_blocks_that_do_not_stack_are_named(blocks, message):
+    with pytest.raises(DataError, match=message):
+        IndividualTable(blocks)
+
+
+def test_repeated_coarse_unit_names_the_unit_and_file(tmp_path):
+    path = write(tmp_path, FAULT_CSV + "A,5,0.2,0.3,0.5,0.25,1.0\n")
+    with pytest.raises(DataError) as exc:
+        load_coarse_csv(path, FAULT_SCHEMA)
+    assert str(exc.value) == f"load_coarse_csv: {path} has more than one row for unit 'A'"
+
+
 def _rounded_study_csv(tmp_path):
     """The 500-unit simulation study's coarse CSV with every proportion rounded to 3 decimals."""
     truth, schemas = generate_truth(default_study_config(), stream(3, "truth"))
