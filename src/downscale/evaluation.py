@@ -74,12 +74,11 @@ def align_rows(
     declaration order); person index is always the final tiebreak.
     """
     position = {uid: i for i, uid in enumerate(truth.unit_ids)}
-    only = [(uid, "truth") for uid in set(position).difference(generated.unit_ids)]
-    only += [(uid, "generated") for uid in set(generated.unit_ids).difference(position)]
-    if only:
-        uid, side = min(only)
-        raise DataError(f"align_rows: unit sets differ between truth and generated tables "
-                        f"(unit {uid!r} is only in the {side} table)")
+    unmatched = set(position).symmetric_difference(generated.unit_ids)
+    if unmatched:
+        uid = min(unmatched)
+        raise DataError(f"align_rows: unit sets differ between truth and generated tables (unit {uid!r} "
+                        f"is only in the {'truth' if uid in position else 'generated'} table)")
     # each generated block's position in the truth table's unit order
     rank = np.array([position[uid] for uid in generated.unit_ids], dtype=np.int64)
     if sort_features is None:

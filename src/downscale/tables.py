@@ -125,6 +125,9 @@ class IndividualTable:
         self.blocks = [UnitBlock(b.unit_id, b.size, MappingProxyType(view), index)
                        for b, view, index in zip(blocks, self._views, self.split(self.person_index))]
         self._by_id = {b.unit_id: b for b in self.blocks}
+        if len(self._by_id) != len(blocks):
+            repeated = Counter(self.unit_ids).most_common(1)[0][0]
+            raise DataError(f"IndividualTable: more than one block for unit {repeated!r}")
         for name in names:
             self.set_column(name, np.concatenate([b.columns[name] for b in blocks]))
 

@@ -464,7 +464,8 @@ def test_empty_table():
     ([UnitBlock("A", 1, {"a": np.array([0])}), UnitBlock("B", 1, {"a": np.array([1]), "x": np.array([1.0])})],
      "unit 'A' lacks feature 'x'"),
     ([UnitBlock("A", 2, {"a": np.array([0])})], "unit 'A' has 1 rows of feature 'a', not 2"),
-], ids=["missing-later", "missing-first", "short"])
+    ([UnitBlock("A", 1), UnitBlock("B", 1), UnitBlock("A", 2)], "more than one block for unit 'A'"),
+], ids=["missing-later", "missing-first", "short", "repeated-unit"])
 def test_blocks_that_do_not_stack_are_named(blocks, message):
     with pytest.raises(DataError, match=message):
         IndividualTable(blocks)
