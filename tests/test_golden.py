@@ -1,5 +1,7 @@
 """Golden output: the exact bytes of a small ``sync generate`` / ``sync
-evaluate`` / ``sync match`` run and of the truth table it starts from.
+evaluate`` / ``sync match`` run, of the truth table it starts from, and
+of a ``sync generate --load-model`` rerun from the saved model (the one
+end-to-end byte check of model file -> model -> draws).
 
 The run is a 40-unit copy of the simulation study's schema with one
 continuous feature per batch.  A refactor that is meant to leave the seed
@@ -25,6 +27,8 @@ GOLDEN = {
     "truth.csv": "fb300f138d79664481018974ae9499d096482fc3be2feece76e809afaf032139",
     "match.csv": "528dca95bc986fad323b1a16bac2f389418236c0d5a89e90ab021f514a5a5606",
 }
+# the rerun from the saved model: same people.csv bytes, "model_source": "supplied" in its manifest
+RELOADED_MANIFEST = "1de509b4bfcb4ae323d209db101a06459b4c26052d97f503828b3a7ec2246925"
 # an ordinal, a nominal and a continuous attribute
 QUERY = {"unit_id": "unit0003", "attributes": {"age": "35-44", "gender": "female", "hh_income": 1.5}}
 
@@ -59,5 +63,13 @@ def test_generate_and_evaluate_bytes_are_pinned(tmp_path):
     assert main(["match", "--schema", str(schema_path), "--pool", str(tmp_path / "people.csv"),
                  "--query", str(query_path), "--k", "5", "--out", str(tmp_path / "match.csv")]) == 0
 
-    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN}
-    assert digests == GOLDEN
+    assert main(["generate", "--coarse", str(coarse_path), "--schema", str(schema_path),
+                 "--out", str(tmp_path / "reloaded.csv"), "--seed", "7", "--max-train-rows", "300",
+                 "--load-model", str(tmp_path / "model.json")]) == 0
+
+    def digest(name):
+        return hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+
+    assert {name: digest(name) for name in GOLDEN} == GOLDEN
+    assert digest("reloaded.csv") == GOLDEN["people.csv"]
+    assert digest("reloaded.csv.manifest.json") == RELOADED_MANIFEST
