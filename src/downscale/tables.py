@@ -304,25 +304,32 @@ def write_coarse_csv(path: str | Path, coarse: CoarseTable, schemas: list[Featur
 
 
 def aggregate(individuals: IndividualTable, schemas: list[FeatureSchema]) -> CoarseTable:
-    """Re-aggregate an individual table: class counts / n and arithmetic means."""
-    units = []
-    for block in individuals.blocks:
-        values: dict[str, np.ndarray | float] = {}
-        for sc in schemas:
-            col = block.columns.get(sc.name)
-            if col is None:
-                raise DataError(f"aggregate: unit {block.unit_id!r} missing feature {sc.name!r}")
-            if sc.is_categorical:
-                if col.ndim != 1:
-                    raise DataError(
-                        f"aggregate: unfinalized cells present for {sc.name!r} in unit {block.unit_id!r}"
-                    )
-                counts = np.bincount(col, minlength=sc.n_classes)
-                values[sc.name] = counts / block.size
-            else:
-                values[sc.name] = float(np.mean(col))
-        units.append(AggregationUnit(block.unit_id, block.size, values))
-    return CoarseTable(units)
+    """Re-aggregate an individual table: class counts / n (one ``bincount`` of (unit,
+    class) per feature) and arithmetic means (one ``np.mean`` per unit, whose
+    summation order the outputs built on the aggregate depend on)."""
+    unit_ids, sizes = individuals.unit_ids, individuals.sizes
+    if not unit_ids:
+        return CoarseTable([])
+    code = np.repeat(np.arange(len(unit_ids)), sizes)
+    columns = []
+    for sc in schemas:
+        try:
+            col = individuals.column(sc.name)
+        except KeyError:
+            raise DataError(f"aggregate: unit {unit_ids[0]!r} missing feature {sc.name!r}") from None
+        if not sc.is_categorical:
+            columns.append([float(np.mean(part)) for part in individuals.split(col)])
+            continue
+        if col.ndim != 1:
+            raise DataError(f"aggregate: unfinalized cells present for {sc.name!r} in unit {unit_ids[0]!r}")
+        outside = np.flatnonzero((col < 0) | (col >= sc.n_classes))[:1]
+        if outside.size:
+            raise DataError(f"aggregate: class index {col[outside[0]]} of {sc.name!r} outside "
+                            f"[0, {sc.n_classes}) in unit {unit_ids[code[outside[0]]]!r}")
+        counts = np.bincount(code * sc.n_classes + col, minlength=len(unit_ids) * sc.n_classes)
+        columns.append(counts.reshape(-1, sc.n_classes) / sizes[:, None])
+    return CoarseTable([AggregationUnit(unit_id, n, {sc.name: v for sc, v in zip(schemas, values)})
+                        for unit_id, n, *values in zip(unit_ids, sizes.tolist(), *columns)])
 
 
 def write_individual_csv(path: str | Path, table: IndividualTable, schemas: list[FeatureSchema]) -> None:

@@ -128,6 +128,28 @@ def test_aggregate_counts():
     assert coarse.unit("A").population == 4
 
 
+def test_aggregate_counts_each_unit_as_its_own_bincount():
+    schemas = make_schemas([("g", 3, 0), ("x", None, 0)])
+    rng = np.random.default_rng(4)
+    blocks = [UnitBlock(f"u{i}", n, {"g": rng.integers(0, 3, n), "x": rng.uniform(0, 5, n)})
+              for i, n in enumerate([7, 1, 12, 3])]
+    coarse = aggregate(IndividualTable(blocks), schemas)
+    assert coarse.unit_ids == ["u0", "u1", "u2", "u3"]
+    for block, unit in zip(blocks, coarse.units):
+        assert unit.population == block.size
+        np.testing.assert_array_equal(unit.values["g"], np.bincount(block.columns["g"], minlength=3) / block.size)
+        assert unit.values["x"] == float(np.mean(block.columns["x"]))
+
+
+@pytest.mark.parametrize("index", [-1, 2])
+def test_aggregate_rejects_a_class_index_outside_the_classes(index):
+    # a stray index would otherwise be counted for the next or previous unit
+    schemas = make_schemas([("gender", 2, 0)])
+    blocks = [UnitBlock("A", 2, {"gender": np.array([0, 1])}), UnitBlock("B", 2, {"gender": np.array([1, index])})]
+    with pytest.raises(DataError, match=rf"class index {index} of 'gender' outside \[0, 2\) in unit 'B'"):
+        aggregate(IndividualTable(blocks), schemas)
+
+
 def test_aggregate_empty():
     schemas = make_schemas([("gender", 2, 0)])
     assert aggregate(IndividualTable([]), schemas).units == []
