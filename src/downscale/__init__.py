@@ -19,7 +19,6 @@ from .outliers import OutlierReport, flag_outliers, score_units
 from .copula import (
     CopulaModel,
     CorrelationMatrix,
-    MarginalSpec,
     estimate_correlation,
     fit_copula,
     fit_unit_marginals,

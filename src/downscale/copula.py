@@ -38,6 +38,8 @@ _U_CLIP = 1e-15
 
 BETA = "beta"
 LOGNORMAL = "lognormal"
+# one marginal in a model file; a is beta alpha or lognormal mu_log, b beta beta or sigma_log
+_FIELDS = ("kind", "a", "b", "mean", "sd")
 
 
 @dataclass
@@ -67,57 +69,48 @@ class CorrelationMatrix:
         return cls(entries, factor)
 
 
-@dataclass
-class MarginalSpec:
-    """Marginal law of one coordinate in one unit, solved from (mean, sd).
-
-    ``mean`` stores the solver input (proportions of exactly 0 or 1 are
-    clamped by half a count before solving, so the implied mean always
-    matches ``mean``).
-    """
-
-    kind: str
-    a: float  # beta alpha / lognormal mu_log
-    b: float  # beta beta / lognormal sigma_log
-    mean: float
-    sd: float
-
-    def cdf(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.kind == BETA:
-            return betainc(self.a, self.b, np.clip(x, 0.0, 1.0))
-        if self.b == 0.0:
-            return (x >= math.exp(self.a)).astype(float)
-        out = np.zeros_like(x)
-        pos = x > 0
-        out[pos] = ndtr((np.log(x[pos]) - self.a) / self.b)
-        return out
-
-    def implied_mean(self) -> float:
-        if self.kind == BETA:
-            return self.a / (self.a + self.b)
-        return math.exp(self.a + 0.5 * self.b**2)
-
-
-@dataclass
+@dataclass(eq=False)
 class CopulaModel:
+    """One correlation over ``coordinates`` plus every unit's marginals as units x coordinates
+    arrays, rows in ``unit_ids`` order.  ``a``/``b`` are the beta (alpha, beta) on a class
+    proportion's coordinate and the lognormal (mu_log, sigma_log) on a continuous mean's,
+    (-inf, 0.0) being a point mass at 0; ``mean``/``sd`` are ``fit_unit_marginals``' inputs."""
+
     coordinates: list[Coordinate]
     correlation: CorrelationMatrix
-    # unit_id -> list of MarginalSpec aligned with coordinates
-    marginals: dict[str, list[MarginalSpec]]
+    unit_ids: list[str]
+    populations: np.ndarray  # int64, one per unit
+    a: np.ndarray
+    b: np.ndarray
+    mean: np.ndarray
+    sd: np.ndarray
     # coordinate label -> pooled sd of unit-level aggregates
     pooled_sigma: dict[str, float]
-    populations: dict[str, int]
     sd_mode: str = DEFAULT_SD_MODE
 
     def __post_init__(self):
-        dim = len(self.coordinates)
-        if self.correlation.dim != dim:
-            raise EstimationError(f"copula model: correlation does not fit the {dim} coordinates")
-        for unit_id, specs in self.marginals.items():
-            if len(specs) != dim:
-                raise EstimationError(f"copula model: unit {unit_id!r} marginals do not fit "
-                                      f"the {dim} coordinates")
+        if self.correlation.dim != len(self.coordinates):
+            raise EstimationError(f"copula model: correlation does not fit {len(self.coordinates)} coordinates")
+        self._rows = {unit_id: i for i, unit_id in enumerate(self.unit_ids)}
+
+    def rows(self, unit_ids: list[str]) -> np.ndarray:
+        """Row positions of ``unit_ids`` in the marginal arrays; -1 for a unit the model lacks."""
+        return np.array([self._rows.get(unit_id, -1) for unit_id in unit_ids], dtype=np.intp)
+
+    def cdf(self, unit_id: str, j: int, x: np.ndarray) -> np.ndarray:
+        """CDF at ``x`` of ``unit_id``'s marginal law of coordinate ``j``."""
+        a, b = self.a[self._rows[unit_id], j], self.b[self._rows[unit_id], j]
+        if self.coordinates[j].class_label is not None:
+            return betainc(a, b, np.clip(x, 0.0, 1.0))
+        if b == 0.0:
+            return np.greater_equal(x, math.exp(a)).astype(float)
+        with np.errstate(divide="ignore"):  # log(0) = -inf: no mass at or below 0
+            return ndtr((np.log(np.maximum(x, 0.0)) - a) / b)
+
+
+def _lognormal(coords: list[Coordinate]) -> np.ndarray:
+    """Per coordinate: a continuous mean's marginal is lognormal, a class proportion's beta."""
+    return np.array([c.class_label is None for c in coords], dtype=bool)
 
 
 def solve_beta(mean, sd):
@@ -223,18 +216,12 @@ def pooled_sigmas(values: np.ndarray, coords: list[Coordinate]) -> dict[str, flo
     return {c.label: float(s) for c, s in zip(coords, sd)}
 
 
-def fit_unit_marginals(
-    coarse: CoarseTable,
-    schemas: list[FeatureSchema],
-    pooled_sigma: dict[str, float],
-    sd_mode: str = DEFAULT_SD_MODE,
-) -> dict[str, list[MarginalSpec]]:
-    """Solve per-unit marginal laws for every coordinate.
-
-    Proportion coordinates get beta marginals with the mean pre-clamped
-    into [1/(2n), 1 - 1/(2n)]; continuous coordinates get lognormal ones.
-    All units receive marginals, flagged or not.
-    """
+def fit_unit_marginals(coarse: CoarseTable, schemas: list[FeatureSchema], pooled_sigma: dict[str, float],
+                       sd_mode: str = DEFAULT_SD_MODE) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Solve every unit's marginal law of every coordinate: ``CopulaModel``'s units x
+    coordinates arrays (a, b, mean, sd) in unit order.  Proportions get beta marginals
+    with the mean pre-clamped into [1/(2n), 1 - 1/(2n)], continuous means lognormal ones;
+    flagged units get marginals too."""
     coords = coordinates(schemas)
     pooled = np.array([pooled_sigma[c.label] for c in coords])
     means = coarse.matrix(schemas)
@@ -244,34 +231,23 @@ def fit_unit_marginals(
     elif sd_mode == "sqrt_n":
         sigmas = pooled * np.sqrt(populations)
     elif sd_mode == "pooled":
-        sigmas = np.broadcast_to(pooled, means.shape)
+        sigmas = np.broadcast_to(pooled, means.shape).copy()
     else:
         raise EstimationError(f"unknown sd_mode {sd_mode!r} (expected one of {SD_MODES})")
-    kinds = [BETA if c.class_label is not None else LOGNORMAL for c in coords]
-    beta = np.array(kinds) == BETA
+    logn = _lognormal(coords)
+    beta = ~logn
     half_count = 1.0 / (2.0 * populations)
     means[:, beta] = np.clip(means[:, beta], half_count, 1.0 - half_count)
-    alphas = np.zeros_like(means)
-    betas = np.zeros_like(means)
+    alphas, betas = np.zeros((2, *means.shape))
     alphas[:, beta], betas[:, beta] = solve_beta(means[:, beta], sigmas[:, beta])
-    out: dict[str, list[MarginalSpec]] = {}
-    rows = zip(coarse.units, means.tolist(), sigmas.tolist(), alphas.tolist(), betas.tolist())
-    for unit, mean_row, sd_row, a_row, b_row in rows:
-        specs = []
-        for kind, mean, sd, a, b in zip(kinds, mean_row, sd_row, a_row, b_row):
-            if kind == LOGNORMAL:
-                a, b = solve_lognormal(mean, sd)
-            specs.append(MarginalSpec(kind, a, b, mean, sd))
-        out[unit.unit_id] = specs
-    return out
+    # scalar solves: numpy's log1p and log round some inputs differently from math's
+    solved = list(map(solve_lognormal, means[:, logn].ravel().tolist(), sigmas[:, logn].ravel().tolist()))
+    alphas[:, logn], betas[:, logn] = np.reshape(solved, (*means[:, logn].shape, 2)).transpose(2, 0, 1)
+    return alphas, betas, means, sigmas
 
 
-def fit_copula(
-    coarse: CoarseTable,
-    schemas: list[FeatureSchema],
-    exclude: set[str] | None = None,
-    sd_mode: str = DEFAULT_SD_MODE,
-) -> CopulaModel:
+def fit_copula(coarse: CoarseTable, schemas: list[FeatureSchema], exclude: set[str] | None = None,
+               sd_mode: str = DEFAULT_SD_MODE) -> CopulaModel:
     """Fit the full copula model on a schema subset.
 
     Units in ``exclude`` (flagged outliers) are left out of the correlation
@@ -289,8 +265,7 @@ def fit_copula(
         correlation = CorrelationMatrix.from_entries(np.eye(len(coords)))
     sigma = pooled_sigmas(unflagged, coords)
     marginals = fit_unit_marginals(coarse, schemas, sigma, sd_mode)
-    populations = {u.unit_id: u.population for u in coarse.units}
-    return CopulaModel(coords, correlation, marginals, sigma, populations, sd_mode)
+    return CopulaModel(coords, correlation, coarse.unit_ids, coarse.populations, *marginals, sigma, sd_mode)
 
 
 def _draw_coordinates(model: CopulaModel, unit_ids: list[str], rng_for_unit) -> np.ndarray:
@@ -301,23 +276,18 @@ def _draw_coordinates(model: CopulaModel, unit_ids: list[str], rng_for_unit) -> 
     units are sampled.  Every row is F_d^{-1}(Phi(Z_d)), with the quantile
     maps applied across all units in one vectorized call per coordinate.
     """
-    dim = len(model.coordinates)
-    u_parts = []
-    for unit_id in unit_ids:
-        if unit_id not in model.marginals:
-            raise DataError(f"sample_all_units: unknown unit {unit_id!r}")
-        n = model.populations[unit_id]
-        z = rng_for_unit(unit_id).standard_normal((n, dim)) @ model.correlation.cholesky_factor.T
-        u_parts.append(ndtr(z))
-    u = np.clip(np.vstack(u_parts), _U_CLIP, 1.0 - _U_CLIP)
+    rows = model.rows(unit_ids)
+    if (rows < 0).any():
+        raise DataError(f"sample_all_units: unknown unit {unit_ids[int(np.argmin(rows))]!r}")
+    counts, factor = model.populations[rows], model.correlation.cholesky_factor.T
+    z = [rng_for_unit(unit_id).standard_normal((n, len(factor))) @ factor
+         for unit_id, n in zip(unit_ids, counts.tolist())]
+    u = np.clip(ndtr(np.vstack(z)), _U_CLIP, 1.0 - _U_CLIP)
     out = np.empty_like(u)
-    spec_rows = [model.marginals[unit_id] for unit_id in unit_ids]
-    repeats = np.array([model.populations[unit_id] for unit_id in unit_ids])
-    for j in range(dim):
-        kind = spec_rows[0][j].kind
-        a = np.repeat([row[j].a for row in spec_rows], repeats)
-        b = np.repeat([row[j].b for row in spec_rows], repeats)
-        if kind == BETA:
+    at = np.repeat(rows, counts)
+    for j, lognormal in enumerate(_lognormal(model.coordinates)):
+        a, b = model.a[at, j], model.b[at, j]
+        if not lognormal:
             out[:, j] = betaincinv(a, b, u[:, j])
         else:
             col = np.exp(a + b * ndtri(u[:, j]))
@@ -335,12 +305,8 @@ def sample_unit_coordinates(model: CopulaModel, unit_id: str, rng: np.random.Gen
     return _draw_coordinates(model, [unit_id], lambda _: rng)
 
 
-def sample_all_units(
-    model: CopulaModel,
-    schemas: list[FeatureSchema],
-    unit_ids: list[str],
-    rng_for_unit,
-) -> list[UnitBlock]:
+def sample_all_units(model: CopulaModel, schemas: list[FeatureSchema], unit_ids: list[str],
+                     rng_for_unit) -> list[UnitBlock]:
     """Sample every unit into a UnitBlock, each from ``rng_for_unit(unit_id)``.
 
     Beta draws for the classes of one categorical feature are renormalized
@@ -348,7 +314,7 @@ def sample_all_units(
     directly.
     """
     draws = _draw_coordinates(model, unit_ids, rng_for_unit)
-    table = IndividualTable([UnitBlock(unit_id, model.populations[unit_id]) for unit_id in unit_ids])
+    table = IndividualTable(list(map(UnitBlock, unit_ids, model.populations[model.rows(unit_ids)].tolist())))
     j = 0
     for sc in schemas:
         if sc.is_categorical:
@@ -363,49 +329,75 @@ def sample_all_units(
 
 def model_to_json(model: CopulaModel) -> dict:
     """Plain-JSON form of a model; a point mass at 0 stores ``mu_log`` = -inf as null."""
+    kinds = np.broadcast_to(np.where(_lognormal(model.coordinates), LOGNORMAL, BETA), model.a.shape)
+    cells = np.stack([kinds.astype(object), model.a, model.b, model.mean, model.sd], axis=-1)
+    cells[..., 1][np.isneginf(model.a)] = None
     return {
         "sd_mode": model.sd_mode,
         "coordinates": [[c.feature, c.class_label] for c in model.coordinates],
         "correlation": model.correlation.entries.tolist(),
         "pooled_sigma": model.pooled_sigma,
-        "populations": model.populations,
-        "marginals": {
-            unit_id: [[s.kind, None if s.a == -math.inf else s.a, s.b, s.mean, s.sd] for s in specs]
-            for unit_id, specs in model.marginals.items()
-        },
+        "populations": dict(zip(model.unit_ids, model.populations.tolist())),
+        "marginals": dict(zip(model.unit_ids, cells.tolist())),
     }
 
 
 def model_from_json(doc: dict) -> CopulaModel:
-    """Inverse of ``model_to_json``; a malformed document raises a builtin error or ``EstimationError``.
-
-    Every parameter must be finite, except the ``mu_log`` of -inf of a
-    point mass at 0 (``sigma_log`` 0); beta parameters must be positive.
-    """
+    """Inverse of ``model_to_json``; a malformed document raises a builtin error or
+    ``EstimationError``, a bad marginal a ``ValueError`` naming its unit and coordinate:
+    a marginal's kind must be its coordinate's and its parameters finite numbers (but for
+    the point mass's ``mu_log`` of -inf), beta ones positive, ``sigma_log`` nonnegative."""
     coords = [Coordinate(f, c) for f, c in doc["coordinates"]]
     correlation = CorrelationMatrix.from_entries(np.array(doc["correlation"], dtype=float))
-    marginals = {
-        unit_id: [MarginalSpec(kind, -math.inf if a is None else float(a), float(b), float(mean), float(sd))
-                  for kind, a, b, mean, sd in specs]
-        for unit_id, specs in doc["marginals"].items()
-    }
-    for unit_id, specs in marginals.items():
-        for s in specs:
-            point_mass = s.kind == LOGNORMAL and s.a == -math.inf and s.b == 0.0
-            finite = all(map(math.isfinite, (s.b, s.mean, s.sd))) and (point_mass or math.isfinite(s.a))
-            if s.kind not in (BETA, LOGNORMAL) or not finite or (s.kind == BETA and min(s.a, s.b) <= 0.0):
-                raise ValueError(f"unit {unit_id!r} has an invalid marginal {s}")
+    marginals, populations = doc["marginals"], doc["populations"]
+    stray = sorted(marginals.keys() ^ populations.keys())
+    if stray:
+        raise ValueError(f"unit {stray[0]!r} has " + ("marginals but no population" if stray[0] in marginals
+                                                         else "a population but no marginals"))
+    unit_ids = list(marginals)
+    shape = (len(unit_ids), len(coords), len(_FIELDS))
+    cells = np.array([marginals[unit_id] for unit_id in unit_ids], dtype=object)
+    if unit_ids and cells.shape != shape:
+        raise ValueError(_misshapen(marginals, coords))
+    cells = cells.reshape(shape)
+    cells[..., 1][np.equal(cells[..., 1], None)] = -math.inf
+
+    def reject(bad, first, what):
+        """Name the first flagged marginal field; the last axis of ``bad`` runs from field ``first``."""
+        if bad.any():
+            i, j, f = np.argwhere(bad)[0] + (0, 0, first)
+            raise ValueError(f"unit {unit_ids[i]!r} coordinate {coords[j].label!r} has {what}: "
+                             f"{_FIELDS[f]}={cells[i, j, f]!r} (marginal {cells[i, j].tolist()})")
+
+    lognormal = _lognormal(coords)
+    kinds = np.where(lognormal, LOGNORMAL, BETA).astype(object)
+    reject((cells[..., 0] != kinds)[..., None], 0, "the wrong kind for its coordinate")
+    types = np.frompyfunc(type, 1, 1)(cells[..., 1:])
+    values = np.where((types == float) | (types == int), cells[..., 1:], math.nan).astype(float)
+    finite = np.isfinite(values)
+    finite[..., 0] |= lognormal & np.isneginf(values[..., 0]) & (values[..., 1] == 0.0)  # point mass at 0
+    reject(~finite, 1, "a parameter that is not a finite number")
+    reject(~lognormal[:, None] & (values[..., :2] <= 0.0), 1, "a beta parameter <= 0")
+    reject((lognormal & (values[..., 1] < 0.0))[..., None], 2, "a negative sigma_log")
+    a, b, mean, sd = values.transpose(2, 0, 1).copy()
     pooled_sigma = {k: float(v) for k, v in doc["pooled_sigma"].items()}
     if not all(map(math.isfinite, pooled_sigma.values())):
         raise ValueError("a pooled sd is not finite")
-    return CopulaModel(
-        coords,
-        correlation,
-        marginals,
-        pooled_sigma,
-        {k: int(v) for k, v in doc["populations"].items()},
-        doc.get("sd_mode", DEFAULT_SD_MODE),
-    )
+    counts = np.array([int(populations[unit_id]) for unit_id in unit_ids], dtype=np.int64)
+    return CopulaModel(coords, correlation, unit_ids, counts, a, b, mean, sd, pooled_sigma,
+                       doc.get("sd_mode", DEFAULT_SD_MODE))
+
+
+def _misshapen(marginals: dict, coords: list[Coordinate]) -> str:
+    """Name the first unit and coordinate lacking a [kind, a, b, mean, sd] marginal, or a unit's extras."""
+    for unit_id, row in marginals.items():
+        for j, coord in enumerate(coords):
+            spec = row[j] if isinstance(row, list) and j < len(row) else None
+            if not (isinstance(spec, list) and len(spec) == len(_FIELDS)):
+                return f"unit {unit_id!r} coordinate {coord.label!r}: marginal {spec!r} is not {list(_FIELDS)}"
+        if len(row) != len(coords):
+            return f"unit {unit_id!r} has {len(row)} marginals for {len(coords)} coordinates"
+    return f"marginals are not units x coordinates x {list(_FIELDS)}"
 
 
 def save_model(path: str | Path, model: CopulaModel, predictors: list | None = None) -> None:
@@ -426,7 +418,7 @@ def load_model(path: str | Path) -> tuple[CopulaModel, list]:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
         model = model_from_json(doc["copula"])
         predictors = [predictor_from_json(p) for p in doc.get("predictors", [])]
-    except (KeyError, TypeError, ValueError, AttributeError, EstimationError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError, EstimationError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
         raise DataError(f"load_model: {path} is not a valid model file: {detail}") from exc
     return model, predictors

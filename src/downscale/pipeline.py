@@ -151,12 +151,13 @@ def _check_model(model: CopulaModel, predictors: list[Predictor] | None, coarse:
         raise DataError(
             f"generate: supplied model was fitted with sd_mode {model.sd_mode!r}, this run uses {sd_mode!r}"
         )
-    missing = [u.unit_id for u in coarse.units if u.unit_id not in model.marginals]
-    if missing:
-        raise DataError(f"generate: supplied model lacks marginals for units {missing[:5]}")
-    for unit in coarse.units:
-        if model.populations.get(unit.unit_id) != unit.population:
-            raise DataError(f"generate: supplied model population mismatch for {unit.unit_id!r}")
+    rows = model.rows(coarse.unit_ids)
+    if (rows < 0).any():
+        missing = np.array(coarse.unit_ids)[rows < 0][:5].tolist()
+        raise DataError(f"generate: supplied model lacks marginals for units {missing}")
+    mismatch = np.flatnonzero(model.populations[rows] != coarse.populations)
+    if mismatch.size:
+        raise DataError(f"generate: supplied model population mismatch for {coarse.unit_ids[mismatch[0]]!r}")
     if predictors is None:
         return
     features = [sc for batch in batches for sc in batch]

@@ -393,6 +393,14 @@ def _null_spec_value(doc):
     specs[0][2] = None
 
 
+def _extra_population(doc):
+    doc["copula"]["populations"]["u9999"] = 5
+
+
+def _missing_population(doc):
+    del doc["copula"]["populations"]["u0000"]
+
+
 def _predictor(**edits):
     """Replace fields of the first predictor, each by ``edit(old_value)``."""
     def edit(doc):
@@ -416,18 +424,23 @@ def _spec_value(index, position, value):
     ('{"copula": {}}', None, "missing key 'coordinates'"),
     (None, _not_pd, "not positive definite"),
     (None, _nan_correlation, "correlation entries must lie in [-1, 1]"),
-    (None, _ragged_marginal, "not enough values to unpack"),
-    (None, _missing_marginal, "do not fit the 4 coordinates"),
-    (None, _string_mean, "could not convert string to float"),
-    (None, _null_spec_value, "not 'NoneType'"),
-    (None, _wrong_type_marginals, "'list' object has no attribute 'items'"),
+    (None, _ragged_marginal, "unit 'u0000' coordinate 'age:young': marginal ['beta', "),
+    (None, _missing_marginal, "unit 'u0000' coordinate 'spend': marginal None is not ['kind', 'a', 'b', 'mean', 'sd']"),
+    (None, _string_mean, "unit 'u0000' coordinate 'age:young' has a parameter that is not a finite number: mean='half'"),
+    (None, _null_spec_value, "unit 'u0000' coordinate 'age:young' has a parameter that is not a finite number: b=None"),
+    (None, _wrong_type_marginals, "'list' object has no attribute 'keys'"),
     (None, _string_predictor_scale, "could not convert string to float: 'wide'"),
-    (None, _spec_value(3, 3, float("nan")), "invalid marginal MarginalSpec(kind='lognormal'"),
-    (None, _spec_value(3, 4, float("inf")), "sd=inf"),
-    (None, _spec_value(0, 1, float("nan")), "invalid marginal MarginalSpec(kind='beta', a=nan"),
-    (None, _spec_value(0, 2, 0.0), "invalid marginal MarginalSpec(kind='beta'"),
-    (None, _spec_value(0, 1, None), "a=-inf"),
-    (None, _spec_value(3, 1, None), "a=-inf"),
+    (None, _spec_value(3, 3, float("nan")), "unit 'u0000' coordinate 'spend' has a parameter that is not a finite number: mean=nan"),
+    (None, _spec_value(3, 4, float("inf")), "unit 'u0000' coordinate 'spend' has a parameter that is not a finite number: sd=inf"),
+    (None, _spec_value(0, 1, float("nan")), "unit 'u0000' coordinate 'age:young' has a parameter that is not a finite number: a=nan"),
+    (None, _spec_value(0, 2, 0.0), "unit 'u0000' coordinate 'age:young' has a beta parameter <= 0: b=0.0"),
+    (None, _spec_value(0, 1, None), "unit 'u0000' coordinate 'age:young' has a parameter that is not a finite number: a=-inf"),
+    (None, _spec_value(3, 1, None), "unit 'u0000' coordinate 'spend' has a parameter that is not a finite number: a=-inf"),
+    (None, _spec_value(0, 0, "lognormal"),
+     "unit 'u0000' coordinate 'age:young' has the wrong kind for its coordinate: kind='lognormal'"),
+    (None, _spec_value(3, 2, -0.5), "unit 'u0000' coordinate 'spend' has a negative sigma_log: b=-0.5"),
+    (None, _extra_population, "unit 'u9999' has a population but no marginals"),
+    (None, _missing_population, "unit 'u0000' has marginals but no population"),
     (None, _predictor(weights=lambda w: [row[:-1] for row in w]),
      "predictor for 'online' has weights of shape (2, 4), expected (2, 5)"),
     (None, _predictor(center=lambda c: c[:-1]), "predictor for 'online' has center of shape (3,), expected (4,)"),
@@ -448,6 +461,7 @@ def _spec_value(index, position, value):
 ], ids=["truncated", "not-an-object", "no-coordinates", "not-pd", "nan-correlation", "ragged-marginal",
         "missing-marginal", "string-mean", "null-value", "marginals-list", "string-predictor-scale",
         "nan-lognormal-mean", "infinite-sd", "nan-alpha", "zero-beta", "null-alpha", "spread-point-mass",
+        "kind-flip", "negative-sigma-log", "extra-population", "missing-population",
         "short-weight-rows", "short-center", "long-scale", "null-weight", "infinite-center", "zero-scale",
         "unknown-kind", "linear-with-a-matrix", "short-constant-probs", "constant-without-probs",
         "softmax-with-constant-probs", "nan-constant-value"])

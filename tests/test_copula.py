@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -24,11 +25,12 @@ from downscale.copula import (
     LOGNORMAL,
     CopulaModel,
     CorrelationMatrix,
-    MarginalSpec,
+    load_model,
     model_from_json,
     model_to_json,
     pooled_sigmas,
     sample_all_units,
+    save_model,
 )
 from downscale.rng import stream
 from downscale.schema import Coordinate, coordinates
@@ -91,25 +93,25 @@ def test_fit_unit_marginals_beta_specs_are_solve_beta_of_clamped_means(sd_mode):
     # proportions of exactly 0 and 1 exercise the half-count clamp
     coarse.unit("u0002").values["b"] = np.array([1.0, 0.0])
     sigma = pooled_sigmas(coarse.matrix(schemas), coordinates(schemas))
-    specs = fit_unit_marginals(coarse, schemas, sigma, sd_mode)
+    a, b, means, sds = fit_unit_marginals(coarse, schemas, sigma, sd_mode)
     by_name = {sc.name: sc for sc in schemas}
-    for unit in coarse.units:
+    for i, unit in enumerate(coarse.units):
         n = unit.population
         half_count = 1.0 / (2.0 * n)
-        for coord, spec in zip(coordinates(schemas), specs[unit.unit_id]):
-            if coord.class_label is None:
-                assert spec.kind == LOGNORMAL
-                continue
-            raw = float(unit.values[coord.feature][by_name[coord.feature].classes.index(coord.class_label)])
-            mean = min(max(raw, half_count), 1.0 - half_count)
+        for j, coord in enumerate(coordinates(schemas)):
             pooled = sigma[coord.label]
             sd = {
                 "paper": pooled * math.sqrt(len(coarse.units)) * math.sqrt(n),
                 "sqrt_n": pooled * math.sqrt(n),
                 "pooled": pooled,
             }[sd_mode]
-            assert spec.kind == BETA
-            assert (spec.a, spec.b, spec.mean, spec.sd) == (*solve_beta(mean, sd), mean, sd)
+            if coord.class_label is None:
+                raw = float(unit.values[coord.feature])
+                assert (a[i, j], b[i, j], means[i, j], sds[i, j]) == (*solve_lognormal(raw, sd), raw, sd)
+                continue
+            raw = float(unit.values[coord.feature][by_name[coord.feature].classes.index(coord.class_label)])
+            mean = min(max(raw, half_count), 1.0 - half_count)
+            assert (a[i, j], b[i, j], means[i, j], sds[i, j]) == (*solve_beta(mean, sd), mean, sd)
 
 
 @given(
@@ -151,10 +153,11 @@ def test_solve_lognormal_rejects_negative_mean():
 
 
 def test_solve_lognormal_zero_mean_is_point_mass_at_zero():
-    assert solve_lognormal(0.0, 1.0) == (-math.inf, 0.0)
-    spec = MarginalSpec(LOGNORMAL, -math.inf, 0.0, 0.0, 1.0)
-    assert spec.implied_mean() == 0.0
-    draws = sample_unit_coordinates(manual_model(np.eye(1), [spec], 50), "unit", stream(1, "zero"))
+    mu, sigma = solve_lognormal(0.0, 1.0)
+    assert (mu, sigma) == (-math.inf, 0.0)
+    assert math.exp(mu + 0.5 * sigma**2) == 0.0
+    model = manual_model(np.eye(1), [(LOGNORMAL, mu, sigma, 0.0, 1.0)], 50)
+    draws = sample_unit_coordinates(model, "unit", stream(1, "zero"))
     np.testing.assert_array_equal(draws, np.zeros((50, 1)))
 
 
@@ -269,7 +272,7 @@ def test_flagged_units_excluded():
     assert abs(model.correlation.entries[0, 1] - expected) < 1e-12
     assert abs(model.pooled_sigma["x1"] - values[keep, 1].std(ddof=1)) < 1e-12
     # excluded units still get marginals
-    assert set(model.marginals) == set(coarse.unit_ids)
+    assert model.unit_ids == coarse.unit_ids
 
 
 # --- per-unit marginals --------------------------------------------------------
@@ -280,33 +283,33 @@ def test_unit_sd_modes():
     coords = ["g:g_c0", "g:g_c1"]
     sigma = {c: 0.05 for c in coords}
     # sqrt_n: 0.05 * sqrt(49) = 0.35
-    specs = fit_unit_marginals(coarse, schemas, sigma, "sqrt_n")
-    assert abs(specs["u0000"][0].sd - 0.35) < 1e-12
+    sds = fit_unit_marginals(coarse, schemas, sigma, "sqrt_n")[3]
+    assert abs(sds[0, 0] - 0.35) < 1e-12
     # paper mode adds the sqrt(M) factor
-    specs = fit_unit_marginals(coarse, schemas, sigma, "paper")
-    assert abs(specs["u0000"][0].sd - 0.05 * math.sqrt(8) * 7.0) < 1e-12
-    specs = fit_unit_marginals(coarse, schemas, sigma, "pooled")
-    assert abs(specs["u0000"][0].sd - 0.05) < 1e-12
+    sds = fit_unit_marginals(coarse, schemas, sigma, "paper")[3]
+    assert abs(sds[0, 0] - 0.05 * math.sqrt(8) * 7.0) < 1e-12
+    sds = fit_unit_marginals(coarse, schemas, sigma, "pooled")[3]
+    assert abs(sds[0, 0] - 0.05) < 1e-12
 
 
 def test_zero_pooled_sd_gives_minimum_variance():
     schemas = make_schemas([("g", 2, 0)])
     coarse = make_coarse(schemas, [25] * 5)
     sigma = {"g:g_c0": 0.0, "g:g_c1": 0.0}
-    specs = fit_unit_marginals(coarse, schemas, sigma, "sqrt_n")
-    for spec in specs["u0000"]:
-        assert abs(beta_variance(spec.a, spec.b) - 1e-6) < 1e-12
+    a, b, _, _ = fit_unit_marginals(coarse, schemas, sigma, "sqrt_n")
+    for j in range(2):
+        assert abs(beta_variance(a[0, j], b[0, j]) - 1e-6) < 1e-12
 
 
 def test_boundary_proportion_clamped():
     schemas = make_schemas([("g", 2, 0)])
     units = [AggregationUnit("a", 100, {"g": np.array([0.0, 1.0])})]
-    specs = fit_unit_marginals(CoarseTable(units), schemas, {"g:g_c0": 0.1, "g:g_c1": 0.1}, "pooled")
-    assert specs["a"][0].mean == 1.0 / 200.0
-    assert specs["a"][1].mean == 1.0 - 1.0 / 200.0
+    a, b, mean, _ = fit_unit_marginals(CoarseTable(units), schemas, {"g:g_c0": 0.1, "g:g_c1": 0.1}, "pooled")
+    assert mean[0, 0] == 1.0 / 200.0
+    assert mean[0, 1] == 1.0 - 1.0 / 200.0
     # implied mean matches the clamped solver input
-    for spec in specs["a"]:
-        assert abs(spec.implied_mean() - spec.mean) < 1e-12
+    for j in range(2):
+        assert abs(a[0, j] / (a[0, j] + b[0, j]) - mean[0, j]) < 1e-12
 
 
 # --- normal CDF / quantile accuracy -------------------------------------------
@@ -335,19 +338,21 @@ def test_normal_cdf_reference_values():
 # --- Gaussian copula sampling ---------------------------------------------------
 
 def manual_model(entries, specs, n):
-    dim = len(specs)
-    coords = [Coordinate(f"x{j}") for j in range(dim)]
+    """A one-unit model from (kind, a, b, mean, sd) rows; beta coordinates get a class label."""
+    coords = [Coordinate(f"x{j}", "c" if kind == BETA else None) for j, (kind, *_) in enumerate(specs)]
+    a, b, mean, sd = np.array([spec[1:] for spec in specs], dtype=float).T[:, None, :]
     return CopulaModel(
         coordinates=coords,
         correlation=CorrelationMatrix.from_entries(np.array(entries, dtype=float)),
-        marginals={"unit": list(specs)},
+        unit_ids=["unit"],
+        populations=np.array([n]),
+        a=a, b=b, mean=mean, sd=sd,
         pooled_sigma={c.label: 0.0 for c in coords},
-        populations={"unit": n},
     )
 
 
 def test_identity_correlation_beta_outputs_uncorrelated():
-    specs = [MarginalSpec(BETA, 2.0, 2.0, 0.5, 0.1) for _ in range(3)]
+    specs = [(BETA, 2.0, 2.0, 0.5, 0.1) for _ in range(3)]
     model = manual_model(np.eye(3), specs, 100_000)
     draws = sample_unit_coordinates(model, "unit", stream(7, "mc"))
     corr = np.corrcoef(draws, rowvar=False)
@@ -358,7 +363,7 @@ def test_identity_correlation_beta_outputs_uncorrelated():
 def test_gaussian_copula_spearman_identity_lognormal():
     rho = 0.8
     entries = [[1.0, rho], [rho, 1.0]]
-    specs = [MarginalSpec(LOGNORMAL, 0.0, 1.0, 1.0, 1.0), MarginalSpec(LOGNORMAL, 1.0, 0.5, 1.0, 1.0)]
+    specs = [(LOGNORMAL, 0.0, 1.0, 1.0, 1.0), (LOGNORMAL, 1.0, 0.5, 1.0, 1.0)]
     model = manual_model(entries, specs, 100_000)
     draws = sample_unit_coordinates(model, "unit", stream(11, "mc"))
     observed = spearmanr(draws[:, 0], draws[:, 1]).statistic
@@ -370,22 +375,22 @@ def test_marginal_law_kolmogorov_smirnov():
     # one-sample KS below the 95% band 1.63/sqrt(N) at N = 10^4
     n = 10_000
     specs = [
-        MarginalSpec(BETA, 2.0, 2.0, 0.5, 0.1),
-        MarginalSpec(BETA, 3.0, 12.0, 0.2, 0.1),
-        MarginalSpec(LOGNORMAL, -0.34657359027997264, 0.8325546111576977, 1.0, 1.0),
+        (BETA, 2.0, 2.0, 0.5, 0.1),
+        (BETA, 3.0, 12.0, 0.2, 0.1),
+        (LOGNORMAL, -0.34657359027997264, 0.8325546111576977, 1.0, 1.0),
     ]
     model = manual_model(np.eye(3), specs, n)
     draws = sample_unit_coordinates(model, "unit", stream(13, "ks"))
-    for j, spec in enumerate(specs):
+    for j in range(len(specs)):
         x = np.sort(draws[:, j])
-        cdf = spec.cdf(x)
+        cdf = model.cdf("unit", j, x)
         grid = np.arange(1, n + 1) / n
         ks = max(np.max(np.abs(cdf - grid)), np.max(np.abs(cdf - (grid - 1.0 / n))))
         assert ks < 1.63 / math.sqrt(n), f"coordinate {j}: KS {ks}"
 
 
 def test_sampling_deterministic():
-    specs = [MarginalSpec(BETA, 2.0, 3.0, 0.4, 0.1), MarginalSpec(LOGNORMAL, 0.0, 0.3, 1.05, 0.3)]
+    specs = [(BETA, 2.0, 3.0, 0.4, 0.1), (LOGNORMAL, 0.0, 0.3, 1.05, 0.3)]
     model = manual_model([[1.0, 0.4], [0.4, 1.0]], specs, 500)
     a = sample_unit_coordinates(model, "unit", stream(3, "x", "unit"))
     b = sample_unit_coordinates(model, "unit", stream(3, "x", "unit"))
@@ -430,12 +435,60 @@ def test_model_json_round_trip():
     np.testing.assert_array_equal(a, b)
 
 
+def _strict_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_units=st.integers(1, 12),
+    classes=st.lists(st.integers(2, 4), min_size=1, max_size=2),
+    continuous=st.booleans(),
+    edges=st.booleans(),
+)
+@settings(max_examples=25, deadline=None)
+def test_model_file_round_trip_property(tmp_path_factory, seed, n_units, classes, continuous, edges):
+    schemas = make_schemas([(f"g{k}", c, 0) for k, c in enumerate(classes)] + [("x", None, 0)] * continuous)
+    rng = np.random.default_rng(seed)
+    # units out of id order: the saved file lists them sorted, so the loaded rows are permuted
+    coarse = CoarseTable(make_coarse(schemas, rng.integers(1, 30, n_units), rng).units[::-1])
+    if edges:
+        # population 1, proportions of exactly 1 and 0, and a zero mean (a point mass at 0)
+        first = coarse.units[-1]
+        first.population = 1
+        first.values["g0"] = np.eye(classes[0])[0]
+        if continuous:
+            first.values["x"] = 0.0
+    model = fit_copula(coarse, schemas)
+    dim = len(model.coordinates)
+    if n_units < dim + 2:
+        np.testing.assert_array_equal(model.correlation.entries, np.eye(dim))
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    save_model(path, model)
+    json.loads(path.read_text(), parse_constant=_strict_constant)
+    back, predictors = load_model(path)
+    assert predictors == []
+    assert (back.coordinates, back.unit_ids) == (model.coordinates, sorted(model.unit_ids))
+    assert (back.pooled_sigma, back.sd_mode) == (model.pooled_sigma, model.sd_mode)
+    np.testing.assert_array_equal(back.correlation.entries, model.correlation.entries)
+    rows = back.rows(model.unit_ids)
+    for name in ("populations", "a", "b", "mean", "sd"):
+        np.testing.assert_array_equal(getattr(back, name)[rows], getattr(model, name))
+
+    def draw(m):
+        return sample_all_units(m, schemas, coarse.unit_ids, lambda uid: stream(seed, "core", uid))
+
+    for fitted, loaded in zip(draw(model), draw(back)):
+        for name, column in fitted.columns.items():
+            assert column.tobytes() == loaded.columns[name].tobytes()
+
+
 def test_fit_copula_identity_fallback():
     schemas = make_schemas([("g", 3, 0), ("inc", None, 0)])
     coarse = make_coarse(schemas, [10, 20, 30])  # 3 units, 4 coordinates
     model = fit_copula(coarse, schemas)
     np.testing.assert_array_equal(model.correlation.entries, np.eye(4))
-    assert set(model.marginals) == set(coarse.unit_ids)
+    assert model.unit_ids == coarse.unit_ids
 
 
 def test_pooled_sigma_unbiased_estimator():
