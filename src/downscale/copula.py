@@ -38,7 +38,7 @@ _U_CLIP = 1e-15
 
 BETA = "beta"
 LOGNORMAL = "lognormal"
-# one marginal in a model file; a is beta alpha or lognormal mu_log, b beta beta or sigma_log
+# one marginal's fields in a model file
 _FIELDS = ("kind", "a", "b", "mean", "sd")
 
 
@@ -94,8 +94,11 @@ class CopulaModel:
         self._rows = {unit_id: i for i, unit_id in enumerate(self.unit_ids)}
 
     def rows(self, unit_ids: list[str]) -> np.ndarray:
-        """Row positions of ``unit_ids`` in the marginal arrays; -1 for a unit the model lacks."""
-        return np.array([self._rows.get(unit_id, -1) for unit_id in unit_ids], dtype=np.intp)
+        """Row positions of ``unit_ids`` in the marginal arrays; units the model lacks are a DataError."""
+        missing = [unit_id for unit_id in unit_ids if unit_id not in self._rows]
+        if missing:
+            raise DataError(f"copula model lacks marginals for units {missing[:5]}")
+        return np.array([self._rows[unit_id] for unit_id in unit_ids], dtype=np.intp)
 
     def cdf(self, unit_id: str, j: int, x: np.ndarray) -> np.ndarray:
         """CDF at ``x`` of ``unit_id``'s marginal law of coordinate ``j``."""
@@ -216,8 +219,12 @@ def pooled_sigmas(values: np.ndarray, coords: list[Coordinate]) -> dict[str, flo
     return {c.label: float(s) for c, s in zip(coords, sd)}
 
 
-def fit_unit_marginals(coarse: CoarseTable, schemas: list[FeatureSchema], pooled_sigma: dict[str, float],
-                       sd_mode: str = DEFAULT_SD_MODE) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def fit_unit_marginals(
+    coarse: CoarseTable,
+    schemas: list[FeatureSchema],
+    pooled_sigma: dict[str, float],
+    sd_mode: str = DEFAULT_SD_MODE,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Solve every unit's marginal law of every coordinate: ``CopulaModel``'s units x
     coordinates arrays (a, b, mean, sd) in unit order.  Proportions get beta marginals
     with the mean pre-clamped into [1/(2n), 1 - 1/(2n)], continuous means lognormal ones;
@@ -246,8 +253,12 @@ def fit_unit_marginals(coarse: CoarseTable, schemas: list[FeatureSchema], pooled
     return alphas, betas, means, sigmas
 
 
-def fit_copula(coarse: CoarseTable, schemas: list[FeatureSchema], exclude: set[str] | None = None,
-               sd_mode: str = DEFAULT_SD_MODE) -> CopulaModel:
+def fit_copula(
+    coarse: CoarseTable,
+    schemas: list[FeatureSchema],
+    exclude: set[str] | None = None,
+    sd_mode: str = DEFAULT_SD_MODE,
+) -> CopulaModel:
     """Fit the full copula model on a schema subset.
 
     Units in ``exclude`` (flagged outliers) are left out of the correlation
@@ -277,8 +288,6 @@ def _draw_coordinates(model: CopulaModel, unit_ids: list[str], rng_for_unit) -> 
     maps applied across all units in one vectorized call per coordinate.
     """
     rows = model.rows(unit_ids)
-    if (rows < 0).any():
-        raise DataError(f"sample_all_units: unknown unit {unit_ids[int(np.argmin(rows))]!r}")
     counts, factor = model.populations[rows], model.correlation.cholesky_factor.T
     z = [rng_for_unit(unit_id).standard_normal((n, len(factor))) @ factor
          for unit_id, n in zip(unit_ids, counts.tolist())]
@@ -305,8 +314,12 @@ def sample_unit_coordinates(model: CopulaModel, unit_id: str, rng: np.random.Gen
     return _draw_coordinates(model, [unit_id], lambda _: rng)
 
 
-def sample_all_units(model: CopulaModel, schemas: list[FeatureSchema], unit_ids: list[str],
-                     rng_for_unit) -> list[UnitBlock]:
+def sample_all_units(
+    model: CopulaModel,
+    schemas: list[FeatureSchema],
+    unit_ids: list[str],
+    rng_for_unit,
+) -> list[UnitBlock]:
     """Sample every unit into a UnitBlock, each from ``rng_for_unit(unit_id)``.
 
     Beta draws for the classes of one categorical feature are renormalized

@@ -152,9 +152,6 @@ def _check_model(model: CopulaModel, predictors: list[Predictor] | None, coarse:
             f"generate: supplied model was fitted with sd_mode {model.sd_mode!r}, this run uses {sd_mode!r}"
         )
     rows = model.rows(coarse.unit_ids)
-    if (rows < 0).any():
-        missing = np.array(coarse.unit_ids)[rows < 0][:5].tolist()
-        raise DataError(f"generate: supplied model lacks marginals for units {missing}")
     mismatch = np.flatnonzero(model.populations[rows] != coarse.populations)
     if mismatch.size:
         raise DataError(f"generate: supplied model population mismatch for {coarse.unit_ids[mismatch[0]]!r}")

@@ -313,15 +313,12 @@ def aggregate(individuals: IndividualTable, schemas: list[FeatureSchema]) -> Coa
     code = np.repeat(np.arange(len(unit_ids)), sizes)
     columns = []
     for sc in schemas:
-        try:
-            col = individuals.column(sc.name)
-        except KeyError:
-            raise DataError(f"aggregate: unit {unit_ids[0]!r} missing feature {sc.name!r}") from None
+        if not individuals.is_finalized([sc]):
+            raise DataError(f"aggregate: feature {sc.name!r} is missing or has unfinalized cells")
+        col = individuals.column(sc.name)
         if not sc.is_categorical:
             columns.append([float(np.mean(part)) for part in individuals.split(col)])
             continue
-        if col.ndim != 1:
-            raise DataError(f"aggregate: unfinalized cells present for {sc.name!r} in unit {unit_ids[0]!r}")
         outside = np.flatnonzero((col < 0) | (col >= sc.n_classes))[:1]
         if outside.size:
             raise DataError(f"aggregate: class index {col[outside[0]]} of {sc.name!r} outside "
