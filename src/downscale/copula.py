@@ -103,7 +103,7 @@ class CopulaModel:
     def cdf(self, unit_id: str, j: int, x: np.ndarray) -> np.ndarray:
         """CDF at ``x`` of ``unit_id``'s marginal law of coordinate ``j``."""
         a, b = self.a[self._rows[unit_id], j], self.b[self._rows[unit_id], j]
-        if self.coordinates[j].class_label is not None:
+        if not _lognormal(self.coordinates)[j]:
             return betainc(a, b, np.clip(x, 0.0, 1.0))
         if b == 0.0:
             return np.greater_equal(x, math.exp(a)).astype(float)
