@@ -149,3 +149,82 @@ def test_shift_mean_and_nonnegativity(n, target, seed):
     out = shift_continuous(values, target)
     assert out.min() >= 0.0
     assert abs(out.mean() - target) <= 1e-6 * max(1.0, target)
+
+
+# --- exact law of the assignment -------------------------------------------
+# Row i draws from its vector restricted to the classes with budget left, or,
+# when that restriction has no mass, in proportion to the budget left.  The
+# cases enumerate every outcome of that sequential law; fixed seeds keep the
+# chi-square test deterministic.
+
+LAW_CASES = {
+    "uniform-3x3-budget-111": ([[1 / 3] * 3] * 3, [1, 1, 1]),
+    "zero-mass-fallback": ([[0.6, 0.4, 0.0], [0.5, 0.5, 0.0], [1.0, 0.0, 0.0], [0.1, 0.2, 0.7]], [1, 1, 2]),
+    "skewed-4x2": ([[0.9, 0.1], [0.2, 0.8], [0.5, 0.5], [0.7, 0.3]], [3, 1]),
+    "mixed-4x3": ([[0.7, 0.2, 0.1], [0.1, 0.1, 0.8], [0.3, 0.3, 0.4], [0.05, 0.9, 0.05]], [2, 1, 1]),
+}
+LAW_SEEDS = 20_000
+LAW_LEVEL = 1e-3
+
+
+def sequential_law(rows, budget) -> dict[tuple, float]:
+    """Exact probability of every class sequence under the sequential masked law."""
+    law: dict[tuple, float] = {}
+
+    def walk(i, left, prefix, prob):
+        if i == len(rows):
+            law[prefix] = law.get(prefix, 0.0) + prob
+            return
+        w = np.asarray(rows[i], dtype=float) * (left > 0)
+        if w.sum() <= 0.0:
+            w = left.astype(float)
+        for k in np.flatnonzero(w):
+            nxt = left.copy()
+            nxt[k] -= 1
+            walk(i + 1, nxt, prefix + (int(k),), prob * w[k] / w.sum())
+
+    walk(0, np.asarray(budget, dtype=np.int64), (), 1.0)
+    return law
+
+
+def chi_square_p(outcomes: list[tuple], law: dict[tuple, float]) -> float:
+    from scipy.stats import chi2
+
+    assert set(outcomes) <= set(law), "an outcome the sequential law cannot produce"
+    seen = {key: 0 for key in law}
+    for key in outcomes:
+        seen[key] += 1
+    expected = np.array([law[key] * len(outcomes) for key in law])
+    observed = np.array([seen[key] for key in law])
+    return float(chi2.sf(((observed - expected) ** 2 / expected).sum(), len(law) - 1))
+
+
+def test_sequential_law_sums_to_one():
+    for rows, budget in LAW_CASES.values():
+        assert abs(sum(sequential_law(rows, budget).values()) - 1.0) < 1e-12
+    # the 3-row uniform case: every permutation is equally likely
+    assert sequential_law(*LAW_CASES["uniform-3x3-budget-111"]) == pytest.approx(
+        {p: 1 / 6 for p in [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]})
+
+
+@pytest.mark.parametrize("case", sorted(LAW_CASES))
+def test_assign_follows_the_sequential_masked_law(case):
+    rows, budget = LAW_CASES[case]
+    rows, budget = np.array(rows), np.array(budget)
+    outcomes = [tuple(assign_categories(rows, budget, stream(seed, "law")).tolist()) for seed in range(LAW_SEEDS)]
+    assert chi_square_p(outcomes, sequential_law(rows, budget)) > LAW_LEVEL
+
+
+@pytest.mark.parametrize("population, proportions, expected", [
+    (5, [0.2] * 5, [1] * 5),
+    (3, [1 / 6] * 6, [1, 1, 1, 0, 0, 0]),
+    (2, [0.25] * 4, [1, 1, 0, 0]),
+    (7, [1 / 3] * 3, [3, 2, 2]),
+    (10, [0.1] * 10, [1] * 10),
+    (4, [0.125, 0.375, 0.125, 0.375], [1, 2, 0, 1]),
+    (6, [0.25, 0.25, 0.25, 0.25], [2, 2, 1, 1]),
+], ids=["even", "half-seats", "quarter-seats", "thirds", "snapped-tenths", "odd-halves", "two-extra-seats"])
+def test_largest_remainder_known_ties(population, proportions, expected):
+    budget = integerize_budget(population, np.array(proportions))
+    np.testing.assert_array_equal(budget, expected)
+    assert budget.sum() == population
