@@ -357,9 +357,9 @@ def model_to_json(model: CopulaModel) -> dict:
 
 def model_from_json(doc: dict) -> CopulaModel:
     """Inverse of ``model_to_json``; a malformed document raises a builtin error or
-    ``EstimationError``, a bad marginal a ``ValueError`` naming its unit and coordinate:
-    a marginal's kind must be its coordinate's and its parameters finite numbers (but for
-    the point mass's ``mu_log`` of -inf), beta ones positive, ``sigma_log`` nonnegative."""
+    ``EstimationError``, a bad population or marginal a ``ValueError`` naming its unit (and
+    coordinate): populations are integers >= 1, marginal kinds their coordinates', parameters
+    finite numbers (bar a point mass's ``mu_log`` of -inf), beta ones > 0, ``sigma_log`` >= 0."""
     coords = [Coordinate(f, c) for f, c in doc["coordinates"]]
     correlation = CorrelationMatrix.from_entries(np.array(doc["correlation"], dtype=float))
     marginals, populations = doc["marginals"], doc["populations"]
@@ -396,7 +396,10 @@ def model_from_json(doc: dict) -> CopulaModel:
     pooled_sigma = {k: float(v) for k, v in doc["pooled_sigma"].items()}
     if not all(map(math.isfinite, pooled_sigma.values())):
         raise ValueError("a pooled sd is not finite")
-    counts = np.array([int(populations[unit_id]) for unit_id in unit_ids], dtype=np.int64)
+    for unit_id in unit_ids:
+        if type(populations[unit_id]) is not int or populations[unit_id] < 1:  # a bool is no count either
+            raise ValueError(f"unit {unit_id!r} has population {populations[unit_id]!r}, not an integer >= 1")
+    counts = np.array([populations[unit_id] for unit_id in unit_ids], dtype=np.int64)
     return CopulaModel(coords, correlation, unit_ids, counts, a, b, mean, sd, pooled_sigma,
                        doc.get("sd_mode", DEFAULT_SD_MODE))
 

@@ -401,6 +401,12 @@ def _missing_population(doc):
     del doc["copula"]["populations"]["u0000"]
 
 
+def _population(value):
+    def edit(doc):
+        doc["copula"]["populations"]["u0000"] = value
+    return edit
+
+
 def _predictor(**edits):
     """Replace fields of the first predictor, each by ``edit(old_value)``."""
     def edit(doc):
@@ -441,6 +447,10 @@ def _spec_value(index, position, value):
     (None, _spec_value(3, 2, -0.5), "unit 'u0000' coordinate 'spend' has a negative sigma_log: b=-0.5"),
     (None, _extra_population, "unit 'u9999' has a population but no marginals"),
     (None, _missing_population, "unit 'u0000' has marginals but no population"),
+    (None, _population(3.9), "unit 'u0000' has population 3.9, not an integer >= 1"),
+    (None, _population("3"), "unit 'u0000' has population '3', not an integer >= 1"),
+    (None, _population(0), "unit 'u0000' has population 0, not an integer >= 1"),
+    (None, _population(True), "unit 'u0000' has population True, not an integer >= 1"),
     (None, _predictor(weights=lambda w: [row[:-1] for row in w]),
      "predictor for 'online' has weights of shape (2, 4), expected (2, 5)"),
     (None, _predictor(center=lambda c: c[:-1]), "predictor for 'online' has center of shape (3,), expected (4,)"),
@@ -462,6 +472,7 @@ def _spec_value(index, position, value):
         "missing-marginal", "string-mean", "null-value", "marginals-list", "string-predictor-scale",
         "nan-lognormal-mean", "infinite-sd", "nan-alpha", "zero-beta", "null-alpha", "spread-point-mass",
         "kind-flip", "negative-sigma-log", "extra-population", "missing-population",
+        "float-population", "string-population", "zero-population", "bool-population",
         "short-weight-rows", "short-center", "long-scale", "null-weight", "infinite-center", "zero-scale",
         "unknown-kind", "linear-with-a-matrix", "short-constant-probs", "constant-without-probs",
         "softmax-with-constant-probs", "nan-constant-value"])
