@@ -278,13 +278,8 @@ def extend_with_batch(
     x = core_input_matrix(table, core_schemas)
     for sc in batch_schemas:
         pred = predictors[sc.name]
-        if not sc.is_categorical:
-            # one call per unit: BLAS rounds a row's dot product by where the
-            # row falls in the call, so one stacked call would change output bits
-            table.set_column(sc.name, np.concatenate([pred.predict_value(rows) for rows in table.split(x)]))
-            continue
-        p = pred.predict_proba(x)
-        if mode == "argmax":
+        p = pred.predict_proba(x) if sc.is_categorical else pred.predict_value(x)
+        if mode == "argmax" and sc.is_categorical:
             hard = np.full_like(p, 1e-9 / sc.n_classes)
             hard[np.arange(p.shape[0]), p.argmax(axis=1)] += 1.0 - 1e-9
             p = hard

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import logging
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,21 +36,15 @@ class GenerationResult:
     predictors: list[Predictor]
 
 
+@contextmanager
 def _phase(name):
     """Re-raise package errors with the failing phase prepended."""
-
-    class _ctx:
-        def __enter__(self):
-            self.t0 = time.perf_counter()
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and isinstance(exc, DownscaleError):
-                raise type(exc)(f"{name}: {exc}") from exc
-            log.info("%s finished in %.3fs", name, time.perf_counter() - self.t0)
-            return False
-
-    return _ctx()
+    t0 = time.perf_counter()
+    try:
+        yield
+    except DownscaleError as exc:
+        raise type(exc)(f"{name}: {exc}") from exc
+    log.info("%s finished in %.3fs", name, time.perf_counter() - t0)
 
 
 def generate(
@@ -116,13 +111,12 @@ def generate(
         # one stream per unit, consumed feature by feature in schema order
         rngs = [rngf.stream("assign", uid) for uid in coarse.unit_ids]
         for sc in schemas:
-            cells = zip(coarse.units, table.split(table.column(sc.name)), rngs)
+            column, target = table.column(sc.name), coarse.matrix([sc])
             if sc.is_categorical:
-                parts = [assign_categories(col, integerize_budget(unit.population, unit.values[sc.name]), rng)
-                         for unit, col, rng in cells]
+                values = assign_categories(column, integerize_budget(coarse.populations, target), rngs)
             else:
-                parts = [shift_continuous(col, float(unit.values[sc.name])) for unit, col, _ in cells]
-            table.set_column(sc.name, np.concatenate(parts))
+                values = shift_continuous(column, target[:, 0], table.sizes)
+            table.set_column(sc.name, values)
 
     manifest = {
         "tool": "downscale",

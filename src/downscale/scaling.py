@@ -20,109 +20,117 @@ _MAX_SHIFT_PASSES = 5
 _SHIFT_RESIDUAL_TOL = 1e-6
 
 
-def integerize_budget(population: int, proportions: np.ndarray) -> np.ndarray:
-    """Integer per-class counts via largest-remainder apportionment.
-
-    Floors of population * p are topped up in order of descending
-    fractional part, ties broken by class declaration order.  Products
-    within 1e-9 of an integer are snapped first so count-rational
-    proportions reproduce their counts exactly.
+def integerize_budget(populations, proportions: np.ndarray) -> np.ndarray:
+    """Integer per-class counts via largest-remainder apportionment, for one
+    population and its (classes,) proportions or a (units,) population vector
+    and a units x classes matrix.  Floors of population * p are topped up in
+    order of descending fractional part, ties broken by class declaration
+    order.  Products within 1e-9 of an integer are snapped first so
+    count-rational proportions reproduce their counts exactly.
     """
-    p = np.asarray(proportions, dtype=float)
-    raw = population * p
+    populations = np.asarray(populations, dtype=np.int64)
+    raw = populations[..., None] * np.asarray(proportions, dtype=float)
     nearest = np.rint(raw)
     raw = np.where(np.abs(raw - nearest) < _SNAP_TOL, nearest, raw)
     base = np.floor(raw).astype(np.int64)
-    remaining = int(population - base.sum())
-    if remaining < 0:
+    remaining = populations - base.sum(axis=-1)
+    if np.any(remaining < 0):
         raise DataError("integerize_budget: proportions sum above 1")
-    if remaining > 0:
-        frac = raw - base
-        order = np.argsort(-frac, kind="stable")
-        base[order[:remaining]] += 1
-    return base
+    order = np.argsort(-(raw - base), axis=-1, kind="stable")
+    return base + (order.argsort(axis=-1) < remaining[..., None])
 
 
-def assign_categories(
-    prob_rows: np.ndarray, budget: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
+def assign_categories(prob_rows: np.ndarray, budget: np.ndarray, rng) -> np.ndarray:
     """Assign one class per row under an exact per-class budget.
 
-    Rows are processed in order; each draws from its probability vector
-    restricted to classes with remaining budget (masked and renormalized),
-    and the drawn class's budget decrements.  A row whose vector has no
-    mass on any in-budget class falls back to a draw proportional to the
-    remaining budget, which keeps the procedure terminating where the
-    rejection-sampling reading would loop forever.
+    ``budget`` is one unit's (classes,) budget with one generator, or a units
+    x classes budget with one generator per unit; unit u owns the next
+    ``budget[u].sum()`` rows.  A unit's rows take classes in order, each from
+    its probability vector restricted to classes with budget left, or, with no
+    mass there, in proportion to the budget left (so the procedure terminates
+    where the rejection-sampling reading would loop forever).
 
-    Returns the (n,) class-index array; final counts equal the budget.
+    Each row takes two uniforms from its unit's generator.  In each round all
+    pending rows draw under their unit's mask as it stood at the start of the
+    round, and a unit keeps its rows before the first that overdraws a class
+    (or has no mass and is not the unit's first pending row).  An overdrawn
+    row redraws with its second uniform as its unit's first pending row, which
+    sees the exact mask; the rows after it keep their first uniform, on which
+    the rejection does not depend.  Returns the (n,) class indices.
     """
     prob_rows = np.asarray(prob_rows, dtype=float)
     n, c = prob_rows.shape
-    budget = np.asarray(budget, dtype=np.int64).copy()
-    if budget.shape != (c,) or budget.min() < 0:
+    rngs = [rng] if np.ndim(budget) == 1 else list(rng)
+    left = np.atleast_2d(np.array(budget, dtype=np.int64))
+    if left.shape != (len(rngs), c) or left.min(initial=0) < 0:
         raise DataError("assign_categories: budget shape/sign mismatch")
-    if int(budget.sum()) != n:
-        raise DataError(f"assign_categories: budget sums to {int(budget.sum())}, expected {n}")
+    sizes = left.sum(axis=1)
+    if int(sizes.sum()) != n:
+        raise DataError(f"assign_categories: budget sums to {int(sizes.sum())}, expected {n}")
     if not np.all(np.isfinite(prob_rows)) or prob_rows.min() < 0:
         raise DataError("assign_categories: probability rows must be finite and nonnegative")
-
+    # uniforms in (0, 1] and rows scaled to a largest weight of 1: draw_rows never picks a zero weight
+    uniforms = 1.0 - np.concatenate([g.random((k, 2)) for g, k in zip(rngs, sizes.tolist())])
+    second = np.zeros(n, dtype=np.intp)  # 1 once a row's first uniform has overdrawn
+    code = np.repeat(np.arange(len(left)), sizes)
+    start = np.cumsum(sizes) - sizes  # each unit's first pending row
     out = np.empty(n, dtype=np.int64)
-    start = 0
-    while start < n:
-        mask = budget > 0
-        masked = prob_rows[start:] * mask
-        mass = masked.sum(axis=1)
-        zero_rows = np.flatnonzero(mass <= 0.0)
-        stop = n - start if zero_rows.size == 0 else int(zero_rows[0])
-        accepted = 0
-        if stop > 0:
-            draws = draw_rows(masked[:stop], rng.random(stop))
-            # cumulative per-class tally; the first row that overdraws a class
-            # invalidates itself and everything after it
-            onehot = np.zeros((stop, c), dtype=np.int64)
-            onehot[np.arange(stop), draws] = 1
-            over = np.cumsum(onehot, axis=0) > budget
-            bad = np.flatnonzero(over.any(axis=1))
-            accepted = stop if bad.size == 0 else int(bad[0])
-            if accepted > 0:
-                out[start : start + accepted] = draws[:accepted]
-                budget -= np.bincount(draws[:accepted], minlength=c)
-                start += accepted
-                continue
-        # single fallback row: no mass on any in-budget class
-        idx = int(draw_rows(budget[None, :].astype(float), rng.random(1))[0])
-        out[start] = idx
-        budget[idx] -= 1
-        start += 1
+    rows = np.arange(n)  # the pending rows; each unit's form one run
+    while rows.size:
+        seg = code[rows]
+        pos = rows - start[seg]
+        weights = prob_rows[rows] * (left[seg] > 0)
+        zero = ~(weights.max(axis=1) > 0.0)
+        weights[zero] = left[seg[zero]]
+        draws = draw_rows(weights / weights.max(axis=1, keepdims=True), uniforms[rows, second[rows]])
+        drawn = _unit_cumsum(np.eye(c, dtype=np.int64)[draws], pos)[np.arange(rows.size), draws]
+        over = ~zero & (drawn > left[seg, draws])
+        stops = _unit_cumsum(over | (zero & (pos > 0)), pos)
+        keep = stops == 0
+        out[rows[keep]] = draws[keep]
+        left -= np.bincount(seg[keep] * c + draws[keep], minlength=left.size).reshape(left.shape)
+        start += np.bincount(seg[keep], minlength=start.size)
+        second[rows[over & (stops == 1)]] = 1
+        rows = rows[~keep]
     return out
 
 
-def shift_continuous(values: np.ndarray, target_mean: float) -> np.ndarray:
-    """Shift a unit's values so their mean equals the coarse mean.
+def _unit_cumsum(x: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Cumulative sum down the rows of ``x``, restarted where ``pos``, the row's place in its unit, is 0."""
+    total = np.cumsum(x, axis=0)
+    return total - (total - x)[np.arange(len(x)) - pos]
 
+
+def shift_continuous(values: np.ndarray, target_mean, sizes=None) -> np.ndarray:
+    """Shift each unit's values so their mean equals its coarse mean.
+
+    ``values`` are stacked in unit order and cut into units by ``sizes``
+    (by default all values are one unit), with one ``target_mean`` per unit.
     Every value moves by (target mean - sample mean); negatives are
     floored at zero with the excess removed proportionally from the
     positive values (at most 5 passes, residual <= 1e-6 relative).
     """
     values = np.asarray(values, dtype=float)
-    if values.size == 0:
+    sizes = np.atleast_1d(np.asarray(values.size if sizes is None else sizes, dtype=np.int64))
+    target = np.broadcast_to(np.asarray(target_mean, dtype=float), sizes.shape)
+    if sizes.sum() != values.size:
+        raise DataError(f"shift_continuous: unit sizes sum to {sizes.sum()}, expected {values.size}")
+    if np.any(sizes <= 0):
         raise DataError("shift_continuous: empty unit")
-    if target_mean < 0.0:
-        raise DataError(f"shift_continuous: negative target mean {target_mean}")
-    shifted = values + (target_mean - values.mean())
-    if shifted.min() >= 0.0:
-        return shifted
-    target_sum = target_mean * values.size
+    if np.any(target < 0.0):
+        raise DataError(f"shift_continuous: negative target mean {target[target < 0.0][0]}")
+    heads = np.cumsum(sizes) - sizes
+    shifted = values + np.repeat(target - np.add.reduceat(values, heads) / sizes, sizes)
+    active = np.ones(sizes.size, dtype=bool)
     for _ in range(_MAX_SHIFT_PASSES):
-        if shifted.min() >= 0.0:
+        active &= np.minimum.reduceat(shifted, heads) < 0.0
+        if not active.any():
             break
-        shifted = np.maximum(shifted, 0.0)
-        total = shifted.sum()
-        if total <= 0.0:
-            break
-        shifted *= target_sum / total
-    residual = abs(shifted.mean() - target_mean) / max(1.0, abs(target_mean))
-    if residual > _SHIFT_RESIDUAL_TOL:
-        raise DataError(f"shift_continuous: residual {residual:.3e} above tolerance")
+        np.maximum(shifted, 0.0, out=shifted, where=np.repeat(active, sizes))
+        total = np.add.reduceat(shifted, heads)
+        active &= total > 0.0
+        shifted[np.repeat(active, sizes)] *= np.repeat((target * sizes)[active] / total[active], sizes[active])
+    residual = np.abs(np.add.reduceat(shifted, heads) / sizes - target) / np.maximum(1.0, np.abs(target))
+    if np.any(residual > _SHIFT_RESIDUAL_TOL):
+        raise DataError(f"shift_continuous: residual {residual.max():.3e} above tolerance")
     return shifted

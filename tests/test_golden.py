@@ -20,15 +20,15 @@ from downscale.schema import schema_to_json
 from downscale.tables import aggregate, write_coarse_csv, write_individual_csv
 
 GOLDEN = {
-    "people.csv": "d68febbd874de980a5a243b70a737a179ec8a5ebe996b3008b0564791616aafc",
-    "people.csv.manifest.json": "b85eb50e7f471557e2f64326829e2917257e8df6ccb097dfca36931589d13294",
+    "people.csv": "1d095779a0cebc9ea149cafc0fddb63dd1dd66e9c45bac19af745504e9990835",
+    "people.csv.manifest.json": "38804f513a45bb1fefbc65bf5808f517dc08d3e2a3341b0610e9d0b353bf9ca3",
     "model.json": "3f50e4a4bb3597a347826c17a75dc14933ade3e72ec8119d887edb2fb1d04eea",
-    "report.csv": "8c78b7fa49e55141a9cc377cd2a75e0cf65db2123ca267b250806bd8d549d6c3",
+    "report.csv": "9a4928e2216638cc98a72e82de76c84fdc33e25854707ee98e703421ad726204",
     "truth.csv": "fb300f138d79664481018974ae9499d096482fc3be2feece76e809afaf032139",
-    "match.csv": "528dca95bc986fad323b1a16bac2f389418236c0d5a89e90ab021f514a5a5606",
+    "match.csv": "0fa902ac9725625a2c55ff08e83c1e5fb4e2befe7cd9a6eea3c96a0ac6023abd",
 }
 # the rerun from the saved model: same people.csv bytes, "model_source": "supplied" in its manifest
-RELOADED_MANIFEST = "1de509b4bfcb4ae323d209db101a06459b4c26052d97f503828b3a7ec2246925"
+RELOADED_MANIFEST = "9b9a3ef7b6c14000caae0e6b7bc91313bcf3c06e175fe98e843d2e20251ad5bd"
 # an ordinal, a nominal and a continuous attribute
 QUERY = {"unit_id": "unit0003", "attributes": {"age": "35-44", "gender": "female", "hh_income": 1.5}}
 

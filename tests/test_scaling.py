@@ -228,3 +228,71 @@ def test_largest_remainder_known_ties(population, proportions, expected):
     budget = integerize_budget(population, np.array(proportions))
     np.testing.assert_array_equal(budget, expected)
     assert budget.sum() == population
+
+
+# --- all units in one call -------------------------------------------------
+
+def test_assign_over_many_units_follows_the_sequential_masked_law():
+    # the three-class cases share one call, unit u drawing case u % 3, each from its own stream
+    names = [name for name in sorted(LAW_CASES) if len(LAW_CASES[name][1]) == 3]
+    units = [names[u % len(names)] for u in range(len(names) * LAW_SEEDS)]
+    rows = np.concatenate([LAW_CASES[name][0] for name in units])
+    budget = np.array([LAW_CASES[name][1] for name in units])
+    out = assign_categories(rows, budget, [stream(u, "law-units") for u in range(len(units))])
+    ends = np.cumsum(budget.sum(axis=1))
+    outcomes = {name: [] for name in names}
+    for name, part in zip(units, np.split(out, ends[:-1])):
+        outcomes[name].append(tuple(part.tolist()))
+    for name in names:
+        assert chi_square_p(outcomes[name], sequential_law(*LAW_CASES[name])) > LAW_LEVEL, name
+
+
+def _random_units(seed, n_units, c):
+    """Per-unit budgets and stacked probability rows with one-hot (zero-mass prone) rows mixed in."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(1, 60, n_units)
+    budget = np.array([rng.multinomial(n, rng.dirichlet(np.full(c, 1.0))) for n in sizes])
+    rows = rng.dirichlet(np.full(c, 0.3), size=int(sizes.sum()))
+    hard = rng.random(len(rows)) < 0.3
+    rows[hard] = np.eye(c)[rng.integers(0, c, int(hard.sum()))]
+    return sizes, budget, rows
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_each_unit_of_an_all_units_call_is_its_one_unit_call(seed):
+    sizes, budget, rows = _random_units(seed, 40, 2 + seed % 3)
+    out = assign_categories(rows, budget, [stream(seed, "unit", u) for u in range(len(sizes))])
+    bounds = np.cumsum(sizes)[:-1]
+    for u, (part, prob) in enumerate(zip(np.split(out, bounds), np.split(rows, bounds))):
+        np.testing.assert_array_equal(part, assign_categories(prob, budget[u], stream(seed, "unit", u)))
+        np.testing.assert_array_equal(np.bincount(part, minlength=budget.shape[1]), budget[u])
+
+    # values near zero make some units take flooring passes
+    values = np.random.default_rng(seed).lognormal(0.0, 1.5, int(sizes.sum()))
+    means = np.random.default_rng(seed + 1).uniform(0.0, 3.0, len(sizes))
+    shifted = shift_continuous(values, means, sizes)
+    for part, unit_values, mean in zip(np.split(shifted, bounds), np.split(values, bounds), means):
+        np.testing.assert_array_equal(part, shift_continuous(unit_values, mean))
+
+
+@pytest.mark.parametrize("kind", ["random", "ties"])
+def test_budget_matrix_equals_the_per_unit_budgets(kind):
+    rng = np.random.default_rng(7)
+    populations = rng.integers(1, 200, 300)
+    if kind == "random":
+        proportions = rng.dirichlet(np.full(5, 1.0), size=300)
+    else:  # eighths: many equal fractional parts and products on an integer
+        proportions = rng.multinomial(8, np.full(5, 0.2), size=300) / 8
+    matrix = integerize_budget(populations, proportions)
+    np.testing.assert_array_equal(matrix, [integerize_budget(n, p) for n, p in zip(populations, proportions)])
+    np.testing.assert_array_equal(matrix.sum(axis=1), populations)
+
+
+def test_assign_needs_one_generator_per_unit():
+    with pytest.raises(DataError, match="budget shape"):
+        assign_categories(np.full((4, 2), 0.5), np.array([[1, 1], [1, 1]]), [stream(0, "a")])
+
+
+def test_shift_sizes_must_cover_the_values():
+    with pytest.raises(DataError, match="unit sizes sum to 3"):
+        shift_continuous(np.ones(4), np.array([1.0, 1.0]), np.array([1, 2]))

@@ -70,3 +70,10 @@ def test_traced_toy_op_moves_every_counter(bench, capsys, workload):
     metrics = {name: metric["value"] for name, metric in result["metrics"].items()}
     assert set(metrics) == {m["name"] for m in SPEC["per_layer"]}
     assert [name for name in COUNTED + ONLY_IN[workload] if not metrics[name] > 0] == []
+    # phase 4 makes one scaling call per feature and generate call, not one per unit
+    features = sys.modules["workloads"].WORKLOADS[workload](5, PERFBENCH).config()["features"]
+    categorical = sum(feature["kind"] == "categorical" for feature in features)
+    runs = metrics["pipeline.generate.calls"]
+    calls = {name: metrics[f"scaling.{name}.calls"] for name in ("integerize_budget", "assign_categories")}
+    assert calls == {"integerize_budget": categorical * runs, "assign_categories": categorical * runs}
+    assert metrics["scaling.shift_continuous.calls"] == (len(features) - categorical) * runs
