@@ -79,26 +79,24 @@ def assign_categories(prob_rows: np.ndarray, budget: np.ndarray, rng) -> np.ndar
     while rows.size:
         seg = code[rows]
         pos = rows - start[seg]
-        weights = prob_rows[rows] * (left[seg] > 0)
+        first = np.arange(rows.size) - pos  # where each row's unit starts among the pending rows
+        weights = prob_rows[rows] * (left > 0)[seg]
         zero = ~(weights.max(axis=1) > 0.0)
         weights[zero] = left[seg[zero]]
-        draws = draw_rows(weights / weights.max(axis=1, keepdims=True), uniforms[rows, second[rows]])
-        drawn = _unit_cumsum(np.eye(c, dtype=np.int64)[draws], pos)[np.arange(rows.size), draws]
+        weights /= weights.max(axis=1, keepdims=True)
+        draws = draw_rows(weights, uniforms[rows, second[rows]])
+        # how often each row's class was drawn in its unit so far this round
+        tally = np.cumsum(np.eye(c, dtype=np.int64)[draws], axis=0)
+        drawn = tally[np.arange(rows.size), draws] - tally[first, draws] + (draws[first] == draws)
         over = ~zero & (drawn > left[seg, draws])
-        stops = _unit_cumsum(over | (zero & (pos > 0)), pos)
-        keep = stops == 0
+        stops = np.cumsum(np.r_[0, over | (zero & (pos > 0))])  # a unit's own: minus stops[first]
+        keep = stops[1:] == stops[first]
         out[rows[keep]] = draws[keep]
         left -= np.bincount(seg[keep] * c + draws[keep], minlength=left.size).reshape(left.shape)
         start += np.bincount(seg[keep], minlength=start.size)
-        second[rows[over & (stops == 1)]] = 1
+        second[rows[over & (stops[1:] == stops[first] + 1)]] = 1
         rows = rows[~keep]
     return out
-
-
-def _unit_cumsum(x: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """Cumulative sum down the rows of ``x``, restarted where ``pos``, the row's place in its unit, is 0."""
-    total = np.cumsum(x, axis=0)
-    return total - (total - x)[np.arange(len(x)) - pos]
 
 
 def shift_continuous(values: np.ndarray, target_mean, sizes=None) -> np.ndarray:
