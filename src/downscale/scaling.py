@@ -1,11 +1,8 @@
-"""Exact marginal scaling of sampled individuals.
+"""Exact marginal scaling of sampled individuals (phase 4).
 
-Categorical cells carry per-row probability vectors up to this point.
-Here each unit/feature pair gets an integer class budget derived from the
-coarse proportions (largest-remainder apportionment), rows draw classes
-from their vectors restricted to classes with remaining budget, and the
-final counts match the budget exactly.  Continuous features are shifted
-so the unit mean equals the coarse mean, flooring at zero.
+Each unit's categorical rows take classes under an integer budget from the
+coarse proportions, so the counts match it exactly; continuous values are
+shifted to the coarse mean.
 """
 
 from __future__ import annotations
@@ -21,12 +18,11 @@ _SHIFT_RESIDUAL_TOL = 1e-6
 
 
 def integerize_budget(populations, proportions: np.ndarray) -> np.ndarray:
-    """Integer per-class counts via largest-remainder apportionment, for one
-    population and its (classes,) proportions or a (units,) population vector
-    and a units x classes matrix.  Floors of population * p are topped up in
-    order of descending fractional part, ties broken by class declaration
-    order.  Products within 1e-9 of an integer are snapped first so
-    count-rational proportions reproduce their counts exactly.
+    """Largest-remainder class counts for one population and its (classes,)
+    proportions, or a (units,) population vector and a units x classes matrix:
+    floors of population * p are topped up by descending fractional part, ties
+    to the earlier class.  Products within 1e-9 of an integer are snapped first
+    so count-rational proportions reproduce their counts exactly.
     """
     populations = np.asarray(populations, dtype=np.int64)
     raw = populations[..., None] * np.asarray(proportions, dtype=float)
@@ -41,7 +37,7 @@ def integerize_budget(populations, proportions: np.ndarray) -> np.ndarray:
 
 
 def assign_categories(prob_rows: np.ndarray, budget: np.ndarray, rng) -> np.ndarray:
-    """Assign one class per row under an exact per-class budget.
+    """Assign one class per row under an exact per-class budget; returns the (n,) class indices.
 
     ``budget`` is one unit's (classes,) budget with one generator, or a units
     x classes budget with one generator per unit; unit u owns the next
@@ -50,13 +46,12 @@ def assign_categories(prob_rows: np.ndarray, budget: np.ndarray, rng) -> np.ndar
     mass there, in proportion to the budget left (so the procedure terminates
     where the rejection-sampling reading would loop forever).
 
-    Each row takes two uniforms from its unit's generator.  In each round all
-    pending rows draw under their unit's mask as it stood at the start of the
-    round, and a unit keeps its rows before the first that overdraws a class
-    (or has no mass and is not the unit's first pending row).  An overdrawn
-    row redraws with its second uniform as its unit's first pending row, which
-    sees the exact mask; the rows after it keep their first uniform, on which
-    the rejection does not depend.  Returns the (n,) class indices.
+    Each row takes two uniforms from its unit's generator.  In each round a
+    unit's pending rows up to the first zero-mass one after its first draw
+    under the unit's mask as it stood at the round's start, and the unit keeps
+    those before the first that overdraws a class.  That row redraws with its
+    second uniform as the unit's first pending row, which sees the exact mask;
+    the rows after it keep their first uniform, independent of the rejection.
     """
     prob_rows = np.asarray(prob_rows, dtype=float)
     n, c = prob_rows.shape
@@ -73,39 +68,46 @@ def assign_categories(prob_rows: np.ndarray, budget: np.ndarray, rng) -> np.ndar
     uniforms = 1.0 - np.concatenate([g.random((k, 2)) for g, k in zip(rngs, sizes.tolist())])
     second = np.zeros(n, dtype=np.intp)  # 1 once a row's first uniform has overdrawn
     code = np.repeat(np.arange(len(left)), sizes)
-    start = np.cumsum(sizes) - sizes  # each unit's first pending row
+    ends = np.cumsum(sizes)
+    start = ends - sizes  # each unit's first pending row
     out = np.empty(n, dtype=np.int64)
-    rows = np.arange(n)  # the pending rows; each unit's form one run
-    while rows.size:
-        seg = code[rows]
-        pos = rows - start[seg]
-        first = np.arange(rows.size) - pos  # where each row's unit starts among the pending rows
-        weights = prob_rows[rows] * (left > 0)[seg]
-        zero = ~(weights.max(axis=1) > 0.0)
-        weights[zero] = left[seg[zero]]
+    zero = np.zeros(n, dtype=bool)  # rows with no mass under their unit's mask
+    stale = np.ones(len(left), dtype=bool)  # units whose mask changed since their zero-mass rows were found
+    while np.any(start < ends):
+        mask = left > 0
+        if stale.any():
+            rows = np.flatnonzero(stale[code])
+            zero[rows] = ~((prob_rows[rows] * mask[code[rows]]).max(axis=1) > 0.0)
+            next_zero = np.minimum.accumulate(np.r_[np.where(zero, np.arange(n), n), n, n][::-1])[::-1]
+        # a zero-mass row after its unit's first pending row ends the round: draw only the rows before it
+        lengths = np.minimum(next_zero[start + 1], ends) - start
+        seg = np.repeat(np.arange(len(left)), lengths)
+        first = np.repeat(np.cumsum(lengths) - lengths, lengths)  # where each row's unit starts among the drawn rows
+        rows = start[seg] + np.arange(seg.size) - first
+        weights = prob_rows[rows] * mask[seg]
+        weights[zero[rows]] = left[seg[zero[rows]]]
         weights /= weights.max(axis=1, keepdims=True)
         draws = draw_rows(weights, uniforms[rows, second[rows]])
         # how often each row's class was drawn in its unit so far this round
         tally = np.cumsum(np.eye(c, dtype=np.int64)[draws], axis=0)
         drawn = tally[np.arange(rows.size), draws] - tally[first, draws] + (draws[first] == draws)
-        over = ~zero & (drawn > left[seg, draws])
-        stops = np.cumsum(np.r_[0, over | (zero & (pos > 0))])  # a unit's own: minus stops[first]
+        over = drawn > left[seg, draws]
+        stops = np.cumsum(np.r_[0, over])  # a unit's own: minus stops[first]
         keep = stops[1:] == stops[first]
         out[rows[keep]] = draws[keep]
         left -= np.bincount(seg[keep] * c + draws[keep], minlength=left.size).reshape(left.shape)
         start += np.bincount(seg[keep], minlength=start.size)
         second[rows[over & (stops[1:] == stops[first] + 1)]] = 1
-        rows = rows[~keep]
+        stale = np.any(mask != (left > 0), axis=1)
     return out
 
 
 def shift_continuous(values: np.ndarray, target_mean, sizes=None) -> np.ndarray:
     """Shift each unit's values so their mean equals its coarse mean.
 
-    ``values`` are stacked in unit order and cut into units by ``sizes``
-    (by default all values are one unit), with one ``target_mean`` per unit.
-    Every value moves by (target mean - sample mean); negatives are
-    floored at zero with the excess removed proportionally from the
+    ``values`` are stacked in unit order and cut into units by ``sizes`` (by
+    default one unit).  Each value moves by its unit's (target - sample mean);
+    negatives are floored at zero and the excess taken proportionally from the
     positive values (at most 5 passes, residual <= 1e-6 relative).
     """
     values = np.asarray(values, dtype=float)

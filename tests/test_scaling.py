@@ -275,6 +275,17 @@ def test_each_unit_of_an_all_units_call_is_its_one_unit_call(seed):
         np.testing.assert_array_equal(part, shift_continuous(unit_values, mean))
 
 
+def test_constant_one_hot_rows_fill_each_unit_from_its_budget():
+    """A constant batch predictor gives every row one class: past its budget each row has zero mass."""
+    sizes = np.arange(1, 61) * 7
+    budget = np.stack([sizes - 2 * (sizes // 3), sizes // 3, sizes // 3], axis=1)
+    rows = np.tile([1.0, 0.0, 0.0], (int(sizes.sum()), 1))
+    out = assign_categories(rows, budget, [stream(9, "unit", u) for u in range(len(sizes))])
+    for u, part in enumerate(np.split(out, np.cumsum(sizes)[:-1])):
+        np.testing.assert_array_equal(part, assign_categories(rows[: sizes[u]], budget[u], stream(9, "unit", u)))
+        np.testing.assert_array_equal(np.bincount(part, minlength=3), budget[u])
+
+
 @pytest.mark.parametrize("kind", ["random", "ties"])
 def test_budget_matrix_equals_the_per_unit_budgets(kind):
     rng = np.random.default_rng(7)
