@@ -62,7 +62,7 @@ def assign_categories(prob_rows: np.ndarray, budget: np.ndarray, rng) -> np.ndar
     sizes = left.sum(axis=1)
     if int(sizes.sum()) != n:
         raise DataError(f"assign_categories: budget sums to {int(sizes.sum())}, expected {n}")
-    if not np.all(np.isfinite(prob_rows)) or prob_rows.min() < 0:
+    if not np.all(np.isfinite(prob_rows)) or prob_rows.min(initial=0.0) < 0:
         raise DataError("assign_categories: probability rows must be finite and nonnegative")
     # uniforms in (0, 1] and rows scaled to a largest weight of 1: draw_rows never picks a zero weight
     uniforms = 1.0 - np.concatenate([g.random((k, 2)) for g, k in zip(rngs, sizes.tolist())])

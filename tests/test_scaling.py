@@ -304,6 +304,11 @@ def test_assign_needs_one_generator_per_unit():
         assign_categories(np.full((4, 2), 0.5), np.array([[1, 1], [1, 1]]), [stream(0, "a")])
 
 
+def test_assign_with_no_rows_returns_no_classes():
+    out = assign_categories(np.zeros((0, 3)), np.zeros((2, 3), dtype=np.int64), [stream(0, "a"), stream(1, "a")])
+    assert out.shape == (0,)
+
+
 def test_shift_sizes_must_cover_the_values():
     with pytest.raises(DataError, match="unit sizes sum to 3"):
         shift_continuous(np.ones(4), np.array([1.0, 1.0]), np.array([1, 2]))
