@@ -1,10 +1,10 @@
 """Batch-wise feature extension with predictive models.
 
 Non-core feature batches are sampled jointly with the core features from
-their own copula fit, a conditional model per target feature is trained
-on that sample, and the core individual table is extended batch by batch
-by attaching each model's conditional distribution (categorical) or point
-prediction (continuous) row by row.
+their own copula fit at training size, a conditional model per target
+feature is trained on all of that sample, and the core individual table is
+extended batch by batch by attaching each model's conditional distribution
+(categorical) or point prediction (continuous) row by row.
 """
 
 from __future__ import annotations
@@ -95,16 +95,21 @@ def sample_joint_batch(
     rng_factory: RngFactory,
     phase_tag: str,
     sd_mode: str,
+    max_rows: int | None = None,
 ) -> tuple[IndividualTable, CopulaModel]:
-    """Sample every unit jointly over a schema subset from a fresh copula fit.
+    """Sample ``min(max_rows, N)`` of the N individuals (all for ``None``) jointly over a
+    schema subset from a fresh copula fit, with its own correlation estimate and PD repair.
 
-    The restricted coordinate set gets its own correlation estimate and PD
-    repair, independent of any larger fit.
+    The per-unit counts are one multivariate hypergeometric draw over the populations, and
+    each unit samples the first rows of its own stream: rows are iid within a unit, so the
+    sample has the law of a uniform subset of a full sample.
     """
     model = fit_copula(coarse, schemas_subset, flagged, sd_mode)
-    blocks = sample_all_units(
-        model, schemas_subset, coarse.unit_ids, lambda uid: rng_factory.stream(phase_tag, uid)
-    )
+    total = int(model.populations.sum())
+    counts = rng_factory.stream("train_rows", phase_tag).multivariate_hypergeometric(
+        model.populations, total if max_rows is None else min(max_rows, total))
+    blocks = sample_all_units(model, schemas_subset, coarse.unit_ids,
+                              lambda uid: rng_factory.stream(phase_tag, uid), counts)
     return IndividualTable(blocks), model
 
 
@@ -199,10 +204,9 @@ def fit_predictor(
     core_schemas: list[FeatureSchema],
     target: FeatureSchema,
     rng: np.random.Generator,
-    max_rows: int | None = None,
     max_iter: int = MAX_ITER,
 ) -> Predictor:
-    """Train the conditional model of ``target`` given the core features.
+    """Train the conditional model of ``target`` given the core features on every row.
 
     Categorical targets are drawn once per row from their sampled
     probability vectors and fitted with a damped Newton solve of the
@@ -217,11 +221,6 @@ def fit_predictor(
     y = k_table.column(target.name)
     if target.is_categorical:
         y = draw_rows(y, rng.random(y.shape[0]))
-
-    if max_rows is not None and x.shape[0] > max_rows:
-        pick = rng.choice(x.shape[0], size=max_rows, replace=False)
-        pick.sort()
-        x, y = x[pick], y[pick]
 
     center = np.zeros(x.shape[1])
     scale = np.ones(x.shape[1])

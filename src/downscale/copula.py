@@ -136,21 +136,23 @@ def solve_beta(mean, sd):
     return mean * t, (1.0 - mean) * t
 
 
-def solve_lognormal(mean: float, sd: float) -> tuple[float, float]:
-    """Solve (mu_log, sigma_log) from mean and standard deviation.
+def solve_lognormal(mean, sd):
+    """Solve (mu_log, sigma_log) from mean and standard deviation, elementwise
+    as ``solve_beta``.
 
     sigma_log^2 = ln(1 + sd^2/mean^2), mu_log = ln(mean) - sigma_log^2/2;
     the implied mean is exact, sd = 0 yields a point mass at the mean.  A
     mean of exactly 0 is a point mass at 0: (-inf, 0.0).
     """
-    if mean < 0.0:
-        raise EstimationError(f"solve_lognormal: negative mean {mean}")
-    if sd < 0.0:
-        raise EstimationError(f"solve_lognormal: negative sd {sd}")
-    if mean == 0.0:
-        return -math.inf, 0.0
-    sigma_sq = math.log1p((sd / mean) ** 2)
-    return math.log(mean) - 0.5 * sigma_sq, math.sqrt(sigma_sq)
+    mean = np.asarray(mean, dtype=float)
+    sd = np.asarray(sd, dtype=float)
+    if (mean < 0.0).any():
+        raise EstimationError(f"solve_lognormal: negative mean {float(mean[mean < 0.0].flat[0])}")
+    if (sd < 0.0).any():
+        raise EstimationError(f"solve_lognormal: negative sd {float(sd[sd < 0.0].flat[0])}")
+    with np.errstate(divide="ignore", invalid="ignore"):  # a point mass at 0 divides by 0 and takes log(0)
+        sigma_sq = np.where(mean == 0.0, 0.0, np.log1p((sd / mean) ** 2))
+        return np.log(mean) - 0.5 * sigma_sq, np.sqrt(sigma_sq)
 
 
 def nearest_pd_repair(matrix: np.ndarray) -> CorrelationMatrix:
@@ -247,9 +249,7 @@ def fit_unit_marginals(
     means[:, beta] = np.clip(means[:, beta], half_count, 1.0 - half_count)
     alphas, betas = np.zeros((2, *means.shape))
     alphas[:, beta], betas[:, beta] = solve_beta(means[:, beta], sigmas[:, beta])
-    # scalar solves: numpy's log1p and log round some inputs differently from math's
-    solved = list(map(solve_lognormal, means[:, logn].ravel().tolist(), sigmas[:, logn].ravel().tolist()))
-    alphas[:, logn], betas[:, logn] = np.reshape(solved, (*means[:, logn].shape, 2)).transpose(2, 0, 1)
+    alphas[:, logn], betas[:, logn] = solve_lognormal(means[:, logn], sigmas[:, logn])
     return alphas, betas, means, sigmas
 
 
@@ -279,19 +279,21 @@ def fit_copula(
     return CopulaModel(coords, correlation, coarse.unit_ids, coarse.populations, *marginals, sigma, sd_mode)
 
 
-def _draw_coordinates(model: CopulaModel, unit_ids: list[str], rng_for_unit) -> np.ndarray:
-    """Stacked raw coordinate draws for ``unit_ids``, ``model.populations`` rows each.
+def _draw_coordinates(model: CopulaModel, unit_ids: list[str], rng_for_unit, counts: np.ndarray) -> np.ndarray:
+    """Stacked raw coordinate draws for ``unit_ids``, ``counts`` rows each.
 
     Each unit draws its own correlated normals Z from ``rng_for_unit(unit_id)``
     through the Cholesky factor, so its rows do not depend on which other
-    units are sampled.  Every row is F_d^{-1}(Phi(Z_d)), with the quantile
+    units are sampled, and its first k rows not on its count; a unit with no
+    rows takes no stream.  Every row is F_d^{-1}(Phi(Z_d)), with the quantile
     maps applied across all units in one vectorized call per coordinate.
     """
-    rows = model.rows(unit_ids)
-    counts, factor = model.populations[rows], model.correlation.cholesky_factor.T
-    z = [rng_for_unit(unit_id).standard_normal((n, len(factor))) @ factor
-         for unit_id, n in zip(unit_ids, counts.tolist())]
-    u = np.clip(ndtr(np.vstack(z)), _U_CLIP, 1.0 - _U_CLIP)
+    rows, factor = model.rows(unit_ids), model.correlation.cholesky_factor
+    z = np.vstack([rng_for_unit(unit_id).standard_normal((n, len(factor)))
+                   for unit_id, n in zip(unit_ids, counts.tolist()) if n])
+    # Z Lᵀ term by term: BLAS rounds a row by the shape of its call (one row takes gemv)
+    z = sum(z[:, j, None] * factor[:, j] for j in range(len(factor)))
+    u = np.clip(ndtr(z), _U_CLIP, 1.0 - _U_CLIP)
     out = np.empty_like(u)
     at = np.repeat(rows, counts)
     for j, lognormal in enumerate(_lognormal(model.coordinates)):
@@ -311,7 +313,7 @@ def _draw_coordinates(model: CopulaModel, unit_ids: list[str], rng_for_unit) -> 
 
 def sample_unit_coordinates(model: CopulaModel, unit_id: str, rng: np.random.Generator) -> np.ndarray:
     """Raw coordinate draws for one unit: a (population, dim) array."""
-    return _draw_coordinates(model, [unit_id], lambda _: rng)
+    return _draw_coordinates(model, [unit_id], lambda _: rng, model.populations[model.rows([unit_id])])
 
 
 def sample_all_units(
@@ -319,15 +321,18 @@ def sample_all_units(
     schemas: list[FeatureSchema],
     unit_ids: list[str],
     rng_for_unit,
+    counts: np.ndarray | None = None,
 ) -> list[UnitBlock]:
-    """Sample every unit into a UnitBlock, each from ``rng_for_unit(unit_id)``.
+    """Sample every unit into a UnitBlock, each from ``rng_for_unit(unit_id)``:
+    ``counts`` rows per unit, by default its population.
 
     Beta draws for the classes of one categorical feature are renormalized
     into that cell's probability vector; continuous draws are stored
     directly.
     """
-    draws = _draw_coordinates(model, unit_ids, rng_for_unit)
-    table = IndividualTable(list(map(UnitBlock, unit_ids, model.populations[model.rows(unit_ids)].tolist())))
+    counts = model.populations[model.rows(unit_ids)] if counts is None else counts
+    draws = _draw_coordinates(model, unit_ids, rng_for_unit, counts)
+    table = IndividualTable(list(map(UnitBlock, unit_ids, counts.tolist())))
     j = 0
     for sc in schemas:
         if sc.is_categorical:

@@ -93,16 +93,10 @@ def generate(
         if predictors is None:
             predictors = []
             for j, batch in enumerate(batches, start=1):
-                k_table, _ = sample_joint_batch(
-                    coarse, core + batch, report.flagged, rngf, f"batch{j}", sd_mode
-                )
-                for target in batch:
-                    predictors.append(
-                        fit_predictor(
-                            k_table, core, target, rngf.stream("predictor", target.name),
-                            max_rows=max_train_rows,
-                        )
-                    )
+                k_table, _ = sample_joint_batch(coarse, core + batch, report.flagged, rngf, f"batch{j}", sd_mode,
+                                                max_rows=max_train_rows)
+                predictors += [fit_predictor(k_table, core, target, rngf.stream("predictor", target.name))
+                               for target in batch]
         by_target = {p.target: p for p in predictors}
         for batch in batches:
             extend_with_batch(table, core, batch, by_target, phase3_mode)

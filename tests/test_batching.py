@@ -14,6 +14,7 @@ from downscale import (
 )
 from downscale import batching
 from downscale.batching import GRAD_TOL, MAX_ITER, core_input_matrix, softmax_hessian, softmax_loss_and_grad
+from downscale.copula import fit_copula, sample_all_units
 from downscale.rng import RngFactory, draw_rows, stream
 from conftest import make_coarse, make_schemas
 
@@ -78,6 +79,72 @@ def test_restricted_fit_is_independently_repaired():
     # restricted fit must be PD on its own
     np.linalg.cholesky(model.correlation.entries)
     assert model.correlation.dim == 5
+
+
+def test_sample_joint_batch_row_cap():
+    schemas = make_schemas([("a", 2, 0), ("t", 3, 1)])
+    coarse = make_coarse(schemas, [20] * 12)  # 240 people
+
+    def sample(max_rows, tag="b1"):
+        return sample_joint_batch(coarse, schemas, set(), RngFactory(4), tag, "sqrt_n", max_rows=max_rows)[0]
+
+    assert [sample(m).total_rows() for m in (1, 100, 240, 500, None)] == [1, 100, 240, 240, 240]
+    first, again, other = sample(100), sample(100), sample(100, "b2")
+    assert first.unit_ids == coarse.unit_ids
+    for name in ("a", "t"):
+        np.testing.assert_array_equal(first.column(name), again.column(name))
+    assert not np.array_equal(first.column("a"), other.column("a"))
+
+
+def law_coarse(schemas):
+    """12 units of 3-60 people."""
+    return make_coarse(schemas, np.random.default_rng(80).integers(3, 61, 12))
+
+
+def test_training_counts_are_multivariate_hypergeometric():
+    schemas = make_schemas([("a", 2, 0)])
+    coarse = law_coarse(schemas)
+    populations, total = coarse.populations, int(coarse.populations.sum())
+
+    def counts(max_rows, seed):
+        return sample_joint_batch(coarse, schemas, set(), RngFactory(seed), "b1", "sqrt_n", max_rows=max_rows)[0].sizes
+
+    for max_rows in (None, total, total + 1):
+        np.testing.assert_array_equal(counts(max_rows, 0), populations)
+    n, seeds = total // 2, 1500
+    k = np.array([counts(n, seed) for seed in range(seeds)])
+    assert np.all(k.sum(axis=1) == n)
+    share = populations / total
+    mean, var = n * share, n * share * (1.0 - share) * (total - n) / (total - 1)
+    # within 5 standard errors over the fixed seeds: the sample mean's from the exact variance,
+    # the sample variance's from the sample's fourth central moment
+    s2 = k.var(axis=0, ddof=1)
+    m4 = np.mean((k - k.mean(axis=0)) ** 4, axis=0)
+    assert np.all(np.abs(k.mean(axis=0) - mean) <= 5.0 * np.sqrt(var / seeds))
+    assert np.all(np.abs(s2 - var) <= 5.0 * np.sqrt((m4 - s2**2) / seeds))
+
+
+def test_training_rows_are_each_units_first_rows():
+    schemas = make_schemas([("a", 3, 0), ("x", None, 0), ("t", 2, 1), ("y", None, 1)])
+    coarse = law_coarse(schemas)
+    model = fit_copula(coarse, schemas, set(), "sqrt_n")
+    sizes = set()
+    # several seeds, so that some units get one row: a one-row product rounds apart from a longer one in BLAS
+    for seed in range(10):
+        rngf = RngFactory(seed)
+        full = sample_all_units(model, schemas, coarse.unit_ids, lambda uid: rngf.stream("b1", uid))
+        table, _ = sample_joint_batch(coarse, schemas, set(), rngf, "b1", "sqrt_n", max_rows=40)
+        assert table.total_rows() == 40
+        sizes |= set(table.sizes.tolist())
+        for part, whole in zip(table.blocks, full):
+            for name in ("a", "x", "t", "y"):
+                np.testing.assert_array_equal(part.columns[name], whole.columns[name][:part.size])
+    assert {0, 1} <= sizes
+    # a unit with no rows takes no stream
+    asked = []
+    sample_all_units(model, schemas, coarse.unit_ids, lambda uid: asked.append(uid) or rngf.stream("b1", uid),
+                     table.sizes)
+    assert asked == [uid for uid, k in zip(coarse.unit_ids, table.sizes) if k]
 
 
 def softmax_rows(x, w):
@@ -164,20 +231,6 @@ def test_predictor_continuous_target_linear():
     got = pred.predict_value(core_input_matrix(IndividualTable([test_block]), core))
     want = 2.0 * test_block.columns["x"] + 3.0 * test_block.columns["a"][:, 0] + 1.0
     np.testing.assert_allclose(got, want, rtol=1e-6)
-
-
-def test_predictor_row_cap_subsamples():
-    rng = np.random.default_rng(73)
-    n = 5_000
-    core = make_schemas([("a", 2, 0)])
-    target = make_schemas([("a", 2, 0), ("t", 2, 1)])[1]
-    p_core = rng.dirichlet((2.0, 2.0), size=n)
-    p_target = rng.dirichlet((2.0, 2.0), size=n)
-    table = make_k_table(p_core, p_target)
-    pred = fit_predictor(table, core, target, stream(4, "pred", "t"), max_rows=500)
-    assert pred.weights is not None  # fit ran on the subsample
-    again = fit_predictor(table, core, target, stream(4, "pred", "t"), max_rows=500)
-    np.testing.assert_array_equal(pred.weights, again.weights)
 
 
 def test_gradient_matches_finite_differences(rng):

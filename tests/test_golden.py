@@ -20,15 +20,15 @@ from downscale.schema import schema_to_json
 from downscale.tables import aggregate, write_coarse_csv, write_individual_csv
 
 GOLDEN = {
-    "people.csv": "1d095779a0cebc9ea149cafc0fddb63dd1dd66e9c45bac19af745504e9990835",
-    "people.csv.manifest.json": "38804f513a45bb1fefbc65bf5808f517dc08d3e2a3341b0610e9d0b353bf9ca3",
-    "model.json": "3f50e4a4bb3597a347826c17a75dc14933ade3e72ec8119d887edb2fb1d04eea",
-    "report.csv": "9a4928e2216638cc98a72e82de76c84fdc33e25854707ee98e703421ad726204",
+    "people.csv": "1dacf39c6f9a57be80072ac291d6966767b42a025ba6a57cc4f1ca36a89f95bd",
+    "people.csv.manifest.json": "796c4bcc6000587b9c1808f273fad14cea93c08ec56afdc34fcdfeb28f60984d",
+    "model.json": "3273e98c1ebfd15bb8bcd95283c33fdbb8bf462a03b544ae038910d0fad25891",
+    "report.csv": "9adbbaed57df14310099d5bed2fa4cac6c50ee8cdcb3ed89479e8c0cb9fe4fe4",
     "truth.csv": "fb300f138d79664481018974ae9499d096482fc3be2feece76e809afaf032139",
-    "match.csv": "0fa902ac9725625a2c55ff08e83c1e5fb4e2befe7cd9a6eea3c96a0ac6023abd",
+    "match.csv": "c83bdd40e34152acc62e64bd3787f6d42cdfaa1dba7b0372755174ef0d3547fc",
 }
 # the rerun from the saved model: same people.csv bytes, "model_source": "supplied" in its manifest
-RELOADED_MANIFEST = "9b9a3ef7b6c14000caae0e6b7bc91313bcf3c06e175fe98e843d2e20251ad5bd"
+RELOADED_MANIFEST = "91f69d2e8f2d5b06c725db63284022ce76ba1f9f8cedb56322b873548985f1b1"
 # an ordinal, a nominal and a continuous attribute
 QUERY = {"unit_id": "unit0003", "attributes": {"age": "35-44", "gender": "female", "hh_income": 1.5}}
 

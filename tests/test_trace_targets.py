@@ -77,3 +77,7 @@ def test_traced_toy_op_moves_every_counter(bench, capsys, workload):
     calls = {name: metrics[f"scaling.{name}.calls"] for name in ("integerize_budget", "assign_categories")}
     assert calls == {"integerize_budget": categorical * runs, "assign_categories": categorical * runs}
     assert metrics["scaling.shift_continuous.calls"] == (len(features) - categorical) * runs
+    if workload == "study-500":
+        # phase 3 samples only the rows its predictors train on: the toy op caps them at 300 of its 637 people
+        for name in ("sample_joint_batch", "fit_predictor"):
+            assert metrics[f"batching.{name}.rows"] == 300 * metrics[f"batching.{name}.calls"]
