@@ -121,9 +121,7 @@ def softmax_rows(scores: np.ndarray) -> np.ndarray:
     return scores
 
 
-def softmax_loss_and_grad(
-    weights: np.ndarray, x: np.ndarray, onehot: np.ndarray, l2: float = L2_PENALTY
-) -> tuple[float, np.ndarray]:
+def softmax_loss_and_grad(weights: np.ndarray, x: np.ndarray, onehot: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean cross-entropy with an L2 penalty on non-bias weights, plus gradient.
 
     ``x`` already carries the bias column; the penalty excludes it.
@@ -133,12 +131,12 @@ def softmax_loss_and_grad(
     ce = -np.sum(onehot * np.log(np.maximum(probs, 1e-300))) / n
     penalized = weights.copy()
     penalized[:, -1] = 0.0
-    loss = ce + 0.5 * l2 * float(np.sum(penalized**2))
-    grad = (probs - onehot).T @ x / n + l2 * penalized
+    loss = ce + 0.5 * L2_PENALTY * float(np.sum(penalized**2))
+    grad = (probs - onehot).T @ x / n + L2_PENALTY * penalized
     return loss, grad
 
 
-def softmax_hessian(weights: np.ndarray, x: np.ndarray, l2: float = L2_PENALTY) -> np.ndarray:
+def softmax_hessian(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Hessian of ``softmax_loss_and_grad`` over ``weights.ravel()``.
 
     With ``z_i = p_i ⊗ x_i`` it is ``blockdiag_a(Xᵀ diag(p_a) X) − ZᵀZ``
@@ -158,13 +156,13 @@ def softmax_hessian(weights: np.ndarray, x: np.ndarray, l2: float = L2_PENALTY) 
             blk = slice(a * d, (a + 1) * d)
             hess[blk, blk] += z[:, blk].T @ xc
     hess /= n
-    penalty = np.full((c, d), l2)
+    penalty = np.full((c, d), L2_PENALTY)
     penalty[:, -1] = 0.0
     hess[np.diag_indices(c * d)] += penalty.ravel()
     return hess
 
 
-def _newton_softmax(x: np.ndarray, onehot: np.ndarray, target: str, max_iter: int) -> np.ndarray:
+def _newton_softmax(x: np.ndarray, onehot: np.ndarray, target: str) -> np.ndarray:
     """Minimize ``softmax_loss_and_grad`` by damped Newton until ‖grad‖ < GRAD_TOL."""
     weights = np.zeros((onehot.shape[1], x.shape[1]))
     loss, grad = softmax_loss_and_grad(weights, x, onehot)
@@ -176,9 +174,9 @@ def _newton_softmax(x: np.ndarray, onehot: np.ndarray, target: str, max_iter: in
         gnorm = float(np.linalg.norm(grad))
         if gnorm < GRAD_TOL:
             break
-        if it == max_iter:
+        if it == MAX_ITER:
             raise EstimationError(
-                f"fit_predictor: target {target!r} did not converge in {max_iter} Newton "
+                f"fit_predictor: target {target!r} did not converge in {MAX_ITER} Newton "
                 f"iterations (gradient norm {gnorm:.3e}, tolerance {GRAD_TOL:g})"
             )
         step = np.linalg.solve(softmax_hessian(weights, x) + jitter, grad.ravel()).reshape(weights.shape)
@@ -188,7 +186,7 @@ def _newton_softmax(x: np.ndarray, onehot: np.ndarray, target: str, max_iter: in
             trial = weights - t * step
             trial_loss, trial_grad = softmax_loss_and_grad(trial, x, onehot)
             # a tiny step that still fails is taken anyway: the loop then ends
-            # at the convergence check or at max_iter
+            # at the convergence check or at MAX_ITER
             if trial_loss <= loss - ARMIJO * t * slope or t < 1e-10:
                 break
             t *= 0.5
@@ -204,7 +202,6 @@ def fit_predictor(
     core_schemas: list[FeatureSchema],
     target: FeatureSchema,
     rng: np.random.Generator,
-    max_iter: int = MAX_ITER,
 ) -> Predictor:
     """Train the conditional model of ``target`` given the core features on every row.
 
@@ -212,7 +209,7 @@ def fit_predictor(
     probability vectors and fitted with a damped Newton solve of the
     penalized softmax-linear loss, run until the gradient norm is below
     ``GRAD_TOL``; ``EstimationError`` is raised if that takes more than
-    ``max_iter`` Newton steps.  Continuous targets use ridge least squares.
+    ``MAX_ITER`` Newton steps.  Continuous targets use ridge least squares.
     Inputs use the probability vectors directly (soft encoding), with
     continuous inputs standardized.
     """
@@ -241,7 +238,7 @@ def fit_predictor(
         c = target.n_classes
         onehot = np.zeros((xb.shape[0], c))
         onehot[np.arange(xb.shape[0]), y] = 1.0
-        weights = _newton_softmax(xb, onehot, target.name, max_iter)
+        weights = _newton_softmax(xb, onehot, target.name)
         return Predictor(target.name, SOFTMAX, input_coords, target.classes,
                          weights=weights, center=center, scale=scale)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import logging
 import sys
@@ -169,8 +170,7 @@ def cmd_match(args) -> int:
             [rank, res.person_index, f"{res.distance:.6f}"]
             + [res.cells.get(f, "") for f in feature_names]
         )
-    for row in out_rows:
-        print(",".join(str(v) for v in row))
+    csv.writer(sys.stdout, lineterminator="\n").writerows(out_rows)
     if args.out:
         write_rows_csv(args.out, out_rows)
     return 0

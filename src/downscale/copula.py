@@ -142,7 +142,8 @@ def solve_lognormal(mean, sd):
 
     sigma_log^2 = ln(1 + sd^2/mean^2), mu_log = ln(mean) - sigma_log^2/2;
     the implied mean is exact, sd = 0 yields a point mass at the mean.  A
-    mean of exactly 0 is a point mass at 0: (-inf, 0.0).
+    mean of exactly 0 is a point mass at 0: (-inf, 0.0).  Where sd^2/mean^2
+    overflows (a tiny mean), sigma_log^2 is 2 (ln sd - ln mean), equal to it in doubles.
     """
     mean = np.asarray(mean, dtype=float)
     sd = np.asarray(sd, dtype=float)
@@ -150,8 +151,10 @@ def solve_lognormal(mean, sd):
         raise EstimationError(f"solve_lognormal: negative mean {float(mean[mean < 0.0].flat[0])}")
     if (sd < 0.0).any():
         raise EstimationError(f"solve_lognormal: negative sd {float(sd[sd < 0.0].flat[0])}")
-    with np.errstate(divide="ignore", invalid="ignore"):  # a point mass at 0 divides by 0 and takes log(0)
-        sigma_sq = np.where(mean == 0.0, 0.0, np.log1p((sd / mean) ** 2))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # mean 0 divides by 0; a tiny one overflows
+        ratio_sq = (sd / mean) ** 2
+        sigma_sq = np.where(np.isinf(ratio_sq), 2.0 * (np.log(sd) - np.log(mean)), np.log1p(ratio_sq))
+        sigma_sq = np.where(mean == 0.0, 0.0, sigma_sq)
         return np.log(mean) - 0.5 * sigma_sq, np.sqrt(sigma_sq)
 
 
@@ -203,14 +206,13 @@ def estimate_correlation(values: np.ndarray) -> CorrelationMatrix:
     live = np.ptp(values, axis=0) > 0.0
     corr = np.eye(dim)
     if live.sum() >= 2:
-        sub = np.corrcoef(values[:, live], rowvar=False)
+        with np.errstate(divide="ignore", invalid="ignore"):  # a variance that underflows to 0 gives NaN
+            sub = np.corrcoef(values[:, live], rowvar=False)
         sub[~np.isfinite(sub)] = 0.0
         corr[np.ix_(live, live)] = sub
     off = ~np.eye(dim, dtype=bool)
     corr[off] = np.clip(corr[off], -_CORR_CLIP, _CORR_CLIP)
-    corr = 0.5 * (corr + corr.T)
-    np.fill_diagonal(corr, 1.0)
-    return nearest_pd_repair(corr)
+    return nearest_pd_repair(corr)  # symmetrizes and sets the unit diagonal
 
 
 def pooled_sigmas(values: np.ndarray, coords: list[Coordinate]) -> dict[str, float]:
@@ -236,7 +238,7 @@ def fit_unit_marginals(
     means = coarse.matrix(schemas)
     populations = coarse.populations.astype(float)[:, None]
     if sd_mode == "paper":
-        sigmas = pooled * math.sqrt(len(coarse.units)) * np.sqrt(populations)
+        sigmas = pooled * math.sqrt(len(coarse.unit_ids)) * np.sqrt(populations)
     elif sd_mode == "sqrt_n":
         sigmas = pooled * np.sqrt(populations)
     elif sd_mode == "pooled":
@@ -268,7 +270,7 @@ def fit_copula(
     """
     coords = coordinates(schemas)
     exclude = exclude or set()
-    keep = np.array([u.unit_id not in exclude for u in coarse.units], dtype=bool)
+    keep = np.array([unit_id not in exclude for unit_id in coarse.unit_ids], dtype=bool)
     unflagged = coarse.matrix(schemas)[keep]
     try:
         correlation = estimate_correlation(unflagged)
@@ -301,11 +303,7 @@ def _draw_coordinates(model: CopulaModel, unit_ids: list[str], rng_for_unit, cou
         if not lognormal:
             out[:, j] = betaincinv(a, b, u[:, j])
         else:
-            col = np.exp(a + b * ndtri(u[:, j]))
-            degenerate = b == 0.0
-            if degenerate.any():
-                col[degenerate] = np.exp(a[degenerate])
-            out[:, j] = col
+            out[:, j] = np.exp(a + b * ndtri(u[:, j]))  # b = 0 gives exp(a), 0 for a = -inf
     if not np.all(np.isfinite(out)):
         raise EstimationError("sample_all_units: non-finite draws")
     return out

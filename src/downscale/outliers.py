@@ -56,8 +56,8 @@ def score_matrix(values: np.ndarray) -> np.ndarray:
 
 def score_units(coarse: CoarseTable, schemas: list[FeatureSchema]) -> OutlierReport:
     """Score every unit; with fewer than 10 units scoring is skipped."""
-    if len(coarse.units) < MIN_UNITS_FOR_SCORING:
-        return OutlierReport({u.unit_id: 0.0 for u in coarse.units}, skipped=True)
+    if len(coarse.unit_ids) < MIN_UNITS_FOR_SCORING:
+        return OutlierReport(dict.fromkeys(coarse.unit_ids, 0.0), skipped=True)
     values = coarse.matrix(schemas)
     if not np.all(np.isfinite(values)):
         raise DataError("score_units: non-finite coarse values")

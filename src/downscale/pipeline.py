@@ -122,7 +122,7 @@ def generate(
         "phase3": phase3_mode,
         "max_train_rows": max_train_rows,
         "model_source": "supplied" if prefit else "fitted",
-        "units": len(coarse.units),
+        "units": len(coarse.unit_ids),
         "individuals": table.total_rows(),
         "features": [sc.name for sc in schemas],
         "flagged_units": sorted(report.flagged),

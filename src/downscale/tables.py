@@ -29,48 +29,55 @@ from .schema import FeatureSchema, coordinates
 PROPORTION_SUM_TOL = 1e-3
 
 
-@dataclass
+@dataclass(frozen=True)
 class AggregationUnit:
     """Aggregate observations for one unit: population plus per-feature values."""
 
     unit_id: str
     population: int
     # categorical feature -> (k,) proportion vector; continuous feature -> float mean
-    values: dict[str, np.ndarray | float]
+    values: Mapping[str, np.ndarray | float]
 
 
-@dataclass
 class CoarseTable:
-    units: list[AggregationUnit]
+    """Aggregates of every unit, each feature stored once as one read-only array over all
+    units in unit order (units x classes proportions, or means); ``populations`` and the
+    float64 arrays of ``columns`` are kept without copying.  ``unit(unit_id)`` and ``units``
+    build views on each call, whose ``values`` hold read-only rows (and float means)."""
 
-    def __post_init__(self):
-        self._by_id = {u.unit_id: u for u in self.units}
-        if len(self._by_id) != len(self.units):
-            raise DataError("coarse table has duplicate unit ids")
+    def __init__(self, unit_ids: list[str], populations, columns: Mapping[str, np.ndarray]):
+        self.unit_ids = list(unit_ids)
+        self._rows = {unit_id: i for i, unit_id in enumerate(self.unit_ids)}
+        if len(self._rows) != len(self.unit_ids):
+            repeated = Counter(self.unit_ids).most_common(1)[0][0]
+            raise DataError(f"CoarseTable: more than one unit {repeated!r}")
+        self.populations = np.asarray(populations, dtype=np.int64)  # one per unit, in unit order
+        self._columns = {name: np.asarray(values, dtype=float) for name, values in columns.items()}
+        for name, values in [("population", self.populations), *self._columns.items()]:
+            if values.shape[:1] != (len(self.unit_ids),):
+                raise DataError(f"CoarseTable: {name!r} has shape {values.shape} for {len(self.unit_ids)} units")
+            values.flags.writeable = False
+
+    def __reduce__(self):
+        # unpickled through the constructor, so the arrays come back read-only
+        return CoarseTable, (self.unit_ids, self.populations, self._columns)
 
     def unit(self, unit_id: str) -> AggregationUnit:
-        return self._by_id[unit_id]
+        i = self._rows[unit_id]
+        values = {name: col[i] if col.ndim == 2 else float(col[i]) for name, col in self._columns.items()}
+        return AggregationUnit(unit_id, int(self.populations[i]), MappingProxyType(values))
 
     @property
-    def unit_ids(self) -> list[str]:
-        return [u.unit_id for u in self.units]
+    def units(self) -> list[AggregationUnit]:
+        return [self.unit(unit_id) for unit_id in self.unit_ids]
 
     def total_population(self) -> int:
-        return sum(u.population for u in self.units)
-
-    @property
-    def populations(self) -> np.ndarray:
-        """Per-unit populations, in unit order."""
-        return np.array([u.population for u in self.units])
+        return int(self.populations.sum())
 
     def matrix(self, schemas: list[FeatureSchema]) -> np.ndarray:
         """Units-by-coordinates matrix of aggregate values (proportions and
-        means), columns in ``coordinates(schemas)`` order.
-
-        Built on each call, so it follows later edits of ``unit.values``.
-        """
-        columns = [np.array([u.values[sc.name] for u in self.units], dtype=float) for sc in schemas]
-        return np.column_stack(columns)
+        means), columns in ``coordinates(schemas)`` order: a new array."""
+        return np.column_stack([self._columns[sc.name] for sc in schemas])
 
 
 @dataclass
@@ -206,8 +213,8 @@ def load_coarse_csv(path: str | Path, schemas: list[FeatureSchema]) -> CoarseTab
     def parse(convert, column):
         return _parse_column(convert, columns[position[column]], column, "load_coarse_csv", unit_ids)
 
-    populations = parse(int, "population")
-    _reject(np.array(populations) < 1, lambda i: f"unit {unit_ids[i]!r} has population {populations[i]} < 1")
+    populations = np.array(parse(np.int64, "population"))  # a count past int64 is a bad value
+    _reject(populations < 1, lambda i: f"unit {unit_ids[i]!r} has population {populations[i]} < 1")
     values = {}
     for sc, cols in zip(schemas, sources):
         if not sc.is_categorical:
@@ -215,7 +222,7 @@ def load_coarse_csv(path: str | Path, schemas: list[FeatureSchema]) -> CoarseTab
             _reject(~np.isfinite(x), lambda i: f"non-finite mean for {sc.name!r} in unit {unit_ids[i]!r}")
             _reject(x < 0.0, lambda i: f"negative mean {x[i].item()} for continuous feature {sc.name!r} "
                                        f"in unit {unit_ids[i]!r}")
-            values[sc.name] = x.tolist()
+            values[sc.name] = x
             continue
         x = np.column_stack([parse(float, col) for col in cols])
         if len(cols) == 1:
@@ -234,11 +241,8 @@ def load_coarse_csv(path: str | Path, schemas: list[FeatureSchema]) -> CoarseTab
         # alone so write -> load is the exact identity
         off = np.abs(totals - 1.0) > 1e-12
         x[off] = x[off] / totals[off, None]
-        values[sc.name] = list(x)
-    return CoarseTable([
-        AggregationUnit(unit_id, population, {name: column[i] for name, column in values.items()})
-        for i, (unit_id, population) in enumerate(zip(unit_ids, populations))
-    ])
+        values[sc.name] = x
+    return CoarseTable(unit_ids, populations, values)
 
 
 def _reject(bad: np.ndarray, message) -> None:
@@ -277,7 +281,7 @@ def _read_csv(path: str | Path, where: str) -> tuple[dict[str, int], list[tuple[
 def _parse_cell(convert, text, where, column, unit_id):
     try:
         return convert(text)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise DataError(f"{where}: bad value {text!r} in column {column!r}, unit {unit_id!r}") from None
 
 
@@ -285,7 +289,7 @@ def _parse_column(convert, texts, column, where, unit_ids) -> list:
     """Convert one column's cells; ``unit_ids`` names each cell's unit in an error."""
     try:
         return list(map(convert, texts))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         # second, per-cell pass only to name the bad cell
         return [_parse_cell(convert, text, where, column, uid) for text, uid in zip(texts, unit_ids)]
 
@@ -298,8 +302,8 @@ def write_rows_csv(path: str | Path, rows) -> None:
 
 def write_coarse_csv(path: str | Path, coarse: CoarseTable, schemas: list[FeatureSchema]) -> None:
     """Write a coarse table in canonical form (all class columns explicit)."""
-    values = coarse.matrix(schemas).tolist()
-    rows = [[u.unit_id, u.population, *map(repr, v)] for u, v in zip(coarse.units, values)]
+    values = [map(repr, v) for v in coarse.matrix(schemas).tolist()]
+    rows = [[unit_id, n, *v] for unit_id, n, v in zip(coarse.unit_ids, coarse.populations.tolist(), values)]
     write_rows_csv(path, [["unit_id", "population"] + [c.label for c in coordinates(schemas)]] + rows)
 
 
@@ -309,24 +313,23 @@ def aggregate(individuals: IndividualTable, schemas: list[FeatureSchema]) -> Coa
     summation order the outputs built on the aggregate depend on)."""
     unit_ids, sizes = individuals.unit_ids, individuals.sizes
     if not unit_ids:
-        return CoarseTable([])
+        return CoarseTable([], [], {})
     code = np.repeat(np.arange(len(unit_ids)), sizes)
-    columns = []
+    columns = {}
     for sc in schemas:
         if not individuals.is_finalized([sc]):
             raise DataError(f"aggregate: feature {sc.name!r} is missing or has unfinalized cells")
         col = individuals.column(sc.name)
         if not sc.is_categorical:
-            columns.append([float(np.mean(part)) for part in individuals.split(col)])
+            columns[sc.name] = [np.mean(part) for part in individuals.split(col)]
             continue
         outside = np.flatnonzero((col < 0) | (col >= sc.n_classes))[:1]
         if outside.size:
             raise DataError(f"aggregate: class index {col[outside[0]]} of {sc.name!r} outside "
                             f"[0, {sc.n_classes}) in unit {unit_ids[code[outside[0]]]!r}")
         counts = np.bincount(code * sc.n_classes + col, minlength=len(unit_ids) * sc.n_classes)
-        columns.append(counts.reshape(-1, sc.n_classes) / sizes[:, None])
-    return CoarseTable([AggregationUnit(unit_id, n, {sc.name: v for sc, v in zip(schemas, values)})
-                        for unit_id, n, *values in zip(unit_ids, sizes.tolist(), *columns)])
+        columns[sc.name] = counts.reshape(-1, sc.n_classes) / sizes[:, None]
+    return CoarseTable(unit_ids, sizes, columns)
 
 
 def write_individual_csv(path: str | Path, table: IndividualTable, schemas: list[FeatureSchema]) -> None:

@@ -20,8 +20,15 @@ def make_schemas(spec):
     return out
 
 
-def make_coarse(schemas, populations, rng=None):
-    """Random valid coarse table over the given schemas."""
+def stack_units(units):
+    """A CoarseTable over a list of AggregationUnits, each feature stacked over the units."""
+    names = units[0].values if units else ()
+    return CoarseTable([u.unit_id for u in units], [u.population for u in units],
+                       {name: np.array([u.values[name] for u in units], dtype=float) for name in names})
+
+
+def make_units(schemas, populations, rng=None):
+    """Random valid units over the given schemas, with editable ``values`` dicts."""
     rng = rng or np.random.default_rng(0)
     units = []
     for i, pop in enumerate(populations):
@@ -32,7 +39,12 @@ def make_coarse(schemas, populations, rng=None):
             else:
                 values[sc.name] = float(rng.uniform(0.5, 10.0))
         units.append(AggregationUnit(f"u{i:04d}", int(pop), values))
-    return CoarseTable(units)
+    return units
+
+
+def make_coarse(schemas, populations, rng=None):
+    """Random valid coarse table over the given schemas."""
+    return stack_units(make_units(schemas, populations, rng))
 
 
 @pytest.fixture

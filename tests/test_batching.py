@@ -13,7 +13,7 @@ from downscale import (
     sample_joint_batch,
 )
 from downscale import batching
-from downscale.batching import GRAD_TOL, MAX_ITER, core_input_matrix, softmax_hessian, softmax_loss_and_grad
+from downscale.batching import GRAD_TOL, core_input_matrix, softmax_hessian, softmax_loss_and_grad
 from downscale.copula import fit_copula, sample_all_units
 from downscale.rng import RngFactory, draw_rows, stream
 from conftest import make_coarse, make_schemas
@@ -275,13 +275,12 @@ def test_hessian_matches_finite_differences_of_gradient(rng, monkeypatch):
         assert np.linalg.norm(hess - fd) / np.linalg.norm(fd) < 1e-6
 
 
-def hard_target_fit(p_core, core, target, y, max_iter=MAX_ITER):
+def hard_target_fit(p_core, core, target, y):
     """Fit on one-hot targets with categorical-only inputs, so the design is known."""
     n, c = p_core.shape[0], target.n_classes
     onehot = np.zeros((n, c))
     onehot[np.arange(n), y] = 1.0
-    pred = fit_predictor(make_k_table(p_core, onehot, core), core, target, stream(7, "pred", "t"),
-                         max_iter=max_iter)
+    pred = fit_predictor(make_k_table(p_core, onehot, core), core, target, stream(7, "pred", "t"))
     xb = np.hstack([p_core, np.ones((n, 1))])
     return pred, softmax_loss_and_grad(pred.weights, xb, onehot)[1]
 
@@ -309,14 +308,15 @@ def test_predictor_converges_on_collinear_soft_core(rng):
     assert np.linalg.norm(grad) < GRAD_TOL
 
 
-def test_predictor_iteration_cap_raises(rng):
+def test_predictor_iteration_cap_raises(rng, monkeypatch):
     n = 300
     core = make_schemas([("a", 2, 0)])
     target = make_schemas([("a", 2, 0), ("t", 3, 1)])[1]
     p_core = rng.dirichlet((2.0, 2.0), size=n)
     y = draw_rows(np.column_stack([p_core[:, 0], p_core[:, 1] * 0.5, p_core[:, 1] * 0.5]), rng.random(n))
+    monkeypatch.setattr(batching, "MAX_ITER", 1)
     with pytest.raises(EstimationError, match=r"'t' did not converge in 1 Newton iterations .*gradient norm"):
-        hard_target_fit(p_core, core, target, y, max_iter=1)
+        hard_target_fit(p_core, core, target, y)
 
 
 def test_softmax_rows_sum_to_one(rng):

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -222,6 +224,26 @@ def test_match_reports_pool_person_index(fixture_paths, capsys):
     printed = capsys.readouterr().out.strip().splitlines()
     # the two "mid" rows tie and break by ascending person_index
     assert [line.split(",")[1] for line in printed[1:]] == ["20", "30", "10"]
+
+
+def test_match_prints_the_rows_it_writes(tmp_path, capsys):
+    # a class label holding a comma is quoted on stdout as in --out
+    schema_path = tmp_path / "schema.json"
+    schema_path.write_text(json.dumps([{"name": "age", "kind": "categorical", "classes": ["young", "a,b"]},
+                                       {"name": "spend", "kind": "continuous"}]))
+    pool = tmp_path / "pool.csv"
+    pool.write_text('unit_id,person_index,age,spend\nu0,0,"a,b",2.0\nu0,1,young,5.0\n')
+    query = tmp_path / "query.json"
+    query.write_text(json.dumps({"unit_id": "u0", "attributes": {"age": "a,b"}}))
+    ranked = tmp_path / "ranked.csv"
+    capsys.readouterr()
+    code = main(["match", "--schema", str(schema_path), "--pool", str(pool), "--query", str(query), "--k", "2",
+                 "--out", str(ranked)])
+    assert code == 0
+    printed = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    with ranked.open(newline="") as fh:
+        assert printed == list(csv.reader(fh))
+    assert [row[3] for row in printed] == ["age", "a,b", "young"] and {len(row) for row in printed} == {5}
 
 
 @pytest.mark.parametrize("doc, expected", [

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from scipy.stats import spearmanr
 
 from downscale import (
     AggregationUnit,
-    CoarseTable,
     EstimationError,
     estimate_correlation,
     fit_copula,
@@ -34,7 +34,7 @@ from downscale.copula import (
 )
 from downscale.rng import stream
 from downscale.schema import Coordinate, coordinates
-from conftest import make_coarse, make_schemas
+from conftest import make_coarse, make_schemas, make_units, stack_units
 
 
 def beta_variance(alpha, beta):
@@ -89,9 +89,10 @@ def test_solve_beta_arrays_equal_scalar_calls_bit_for_bit():
 @pytest.mark.parametrize("sd_mode", ["paper", "sqrt_n", "pooled"])
 def test_fit_unit_marginals_beta_specs_are_solve_beta_of_clamped_means(sd_mode):
     schemas = make_schemas([("g", 3, 0), ("inc", None, 0), ("b", 2, 0)])
-    coarse = make_coarse(schemas, [1, 4, 17, 60, 9])
+    units = make_units(schemas, [1, 4, 17, 60, 9])
     # proportions of exactly 0 and 1 exercise the half-count clamp
-    coarse.unit("u0002").values["b"] = np.array([1.0, 0.0])
+    units[2].values["b"] = np.array([1.0, 0.0])
+    coarse = stack_units(units)
     sigma = pooled_sigmas(coarse.matrix(schemas), coordinates(schemas))
     a, b, means, sds = fit_unit_marginals(coarse, schemas, sigma, sd_mode)
     by_name = {sc.name: sc for sc in schemas}
@@ -150,6 +151,20 @@ def test_solve_lognormal_income_scale():
 def test_solve_lognormal_rejects_negative_mean():
     with pytest.raises(EstimationError, match="negative mean -1.0"):
         solve_lognormal(-1.0, 1.0)
+
+
+@pytest.mark.parametrize("mean", [1e-200, 1e-310, 5e-324])
+def test_solve_lognormal_takes_a_mean_whose_squared_ratio_overflows(mean):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mu, sigma = solve_lognormal(np.array([mean, 1e-150, 0.0, 3.0]), np.array([2.5, 2.5, 2.5, 2.5]))
+    assert np.all(np.isfinite(mu[[0, 1, 3]])) and np.all(np.isfinite(sigma))
+    # the implied log-mean mu + sigma^2 / 2 is ln(mean)
+    assert mu[0] + 0.5 * sigma[0] ** 2 == pytest.approx(math.log(mean), rel=1e-14)
+    assert sigma[0] ** 2 == pytest.approx(2.0 * (math.log(2.5) - math.log(mean)), rel=1e-14)
+    # where the square does not overflow, sigma^2 is still log1p of it, bit for bit
+    assert sigma[1] == np.sqrt(np.log1p((2.5 / 1e-150) ** 2))
+    assert (mu[2], sigma[2]) == (-math.inf, 0.0)
 
 
 def test_solve_lognormal_zero_mean_is_point_mass_at_zero():
@@ -223,7 +238,7 @@ def continuous_coarse(values):
         AggregationUnit(f"u{i:05d}", 10, {sc.name: float(v) for sc, v in zip(schemas, row)})
         for i, row in enumerate(values)
     ]
-    return CoarseTable(units), schemas
+    return stack_units(units), schemas
 
 
 def test_duplicate_coordinates_clipped_and_repaired():
@@ -304,7 +319,7 @@ def test_zero_pooled_sd_gives_minimum_variance():
 def test_boundary_proportion_clamped():
     schemas = make_schemas([("g", 2, 0)])
     units = [AggregationUnit("a", 100, {"g": np.array([0.0, 1.0])})]
-    a, b, mean, _ = fit_unit_marginals(CoarseTable(units), schemas, {"g:g_c0": 0.1, "g:g_c1": 0.1}, "pooled")
+    a, b, mean, _ = fit_unit_marginals(stack_units(units), schemas, {"g:g_c0": 0.1, "g:g_c1": 0.1}, "pooled")
     assert mean[0, 0] == 1.0 / 200.0
     assert mean[0, 1] == 1.0 - 1.0 / 200.0
     # implied mean matches the clamped solver input
@@ -451,14 +466,15 @@ def test_model_file_round_trip_property(tmp_path_factory, seed, n_units, classes
     schemas = make_schemas([(f"g{k}", c, 0) for k, c in enumerate(classes)] + [("x", None, 0)] * continuous)
     rng = np.random.default_rng(seed)
     # units out of id order: the saved file lists them sorted, so the loaded rows are permuted
-    coarse = CoarseTable(make_coarse(schemas, rng.integers(1, 30, n_units), rng).units[::-1])
+    units = make_units(schemas, rng.integers(1, 30, n_units), rng)[::-1]
     if edges:
         # population 1, proportions of exactly 1 and 0, and a zero mean (a point mass at 0)
-        first = coarse.units[-1]
-        first.population = 1
+        first = units[-1]
+        units[-1] = AggregationUnit(first.unit_id, 1, first.values)
         first.values["g0"] = np.eye(classes[0])[0]
         if continuous:
             first.values["x"] = 0.0
+    coarse = stack_units(units)
     model = fit_copula(coarse, schemas)
     dim = len(model.coordinates)
     if n_units < dim + 2:

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from downscale import DataError, flag_outliers, score_units
+from downscale import AggregationUnit, DataError, flag_outliers, score_units
 from downscale.outliers import OutlierReport, score_matrix, write_report_csv
-from conftest import make_coarse, make_schemas
+from conftest import make_coarse, make_schemas, make_units, stack_units
 
 
 def report_from_scores(scores):
@@ -19,9 +19,9 @@ def test_unit_at_max_of_every_coordinate_scores_highest(rng):
 
 def test_identical_units_score_zero():
     schemas = make_schemas([("a", 2, 0), ("x", None, 0)])
-    coarse = make_coarse(schemas, [10] * 20)
-    for u in coarse.units:  # make every unit identical
-        u.values = dict(coarse.units[0].values)
+    units = make_units(schemas, [10] * 20)
+    # every unit takes the first unit's values
+    coarse = stack_units([AggregationUnit(u.unit_id, u.population, units[0].values) for u in units])
     report = score_units(coarse, schemas)
     assert set(report.scores.values()) == {0.0}
 
@@ -32,13 +32,11 @@ def test_shifted_unit_flagged():
     schemas = make_schemas([(f"x{i}", None, 0) for i in range(5)])
     values = rng.standard_normal((50, 5)) + 10.0
     values[31, :3] += 6.0
-    from downscale import AggregationUnit, CoarseTable
-
     units = [
         AggregationUnit(f"u{i:03d}", 20, {sc.name: float(v) for sc, v in zip(schemas, row)})
         for i, row in enumerate(values)
     ]
-    report = flag_outliers(score_units(CoarseTable(units), schemas), contamination=0.02)
+    report = flag_outliers(score_units(stack_units(units), schemas), contamination=0.02)
     assert report.flagged == {"u031"}
 
 

@@ -1,13 +1,15 @@
-import functools
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from downscale import (
     AggregationUnit,
-    CoarseTable,
     DataError,
+    DownscaleError,
     EstimationError,
     IndividualTable,
     UnitBlock,
@@ -16,9 +18,9 @@ from downscale import (
     integerize_budget,
     parse_schema,
 )
-from downscale import pipeline
-from downscale.copula import load_model, save_model
-from conftest import make_coarse, make_schemas
+from downscale import batching, pipeline
+from downscale.copula import SD_MODES, load_model, save_model
+from conftest import make_coarse, make_schemas, make_units, stack_units
 
 CENSUS_SCHEMA = parse_schema([
     {"name": "avg_age", "kind": "continuous"},
@@ -42,7 +44,7 @@ def census_coarse():
             "bilingual": np.array([bil, 1 - bil]),
             "owns_car": np.array([car, 1 - car]),
         }))
-    return CoarseTable(units)
+    return stack_units(units)
 
 
 def test_census_style_three_units_produce_777_rows():
@@ -126,9 +128,10 @@ def test_saved_model_reproduces_run(tmp_path):
 @pytest.mark.parametrize("batch", [0, 1], ids=["core", "batch"])
 def test_zero_continuous_mean_is_a_point_mass_at_zero(tmp_path, batch):
     schemas = make_schemas([("a", 2, 0), ("x", None, 0), ("y", None, batch), ("b", 3, 1)])
-    coarse = make_coarse(schemas, [10, 20, 15, 12, 30, 25, 18, 22, 16, 24, 13, 28])
-    for unit_id in ("u0001", "u0004", "u0009"):
-        coarse.unit(unit_id).values["y"] = 0.0
+    units = make_units(schemas, [10, 20, 15, 12, 30, 25, 18, 22, 16, 24, 13, 28])
+    for i in (1, 4, 9):
+        units[i].values["y"] = 0.0
+    coarse = stack_units(units)
     first = generate(coarse, schemas, seed=8)
     check = aggregate(first.table, schemas)
     for unit in coarse.units:
@@ -178,10 +181,10 @@ def test_errors_carry_phase_names(monkeypatch):
         for i in range(12)
     ]
     with pytest.raises(EstimationError, match="phase2/copula"):
-        generate(CoarseTable(units), schemas, seed=0)
+        generate(stack_units(units), schemas, seed=0)
     # a predictor that cannot converge within its iteration cap
     schemas = make_schemas([("a", 3, 0), ("t", 4, 1)])
-    monkeypatch.setattr(pipeline, "fit_predictor", functools.partial(pipeline.fit_predictor, max_iter=1))
+    monkeypatch.setattr(batching, "MAX_ITER", 1)
     with pytest.raises(EstimationError, match=r"^phase3/batches: fit_predictor: target 't' did not converge"):
         generate(make_coarse(schemas, [20] * 12), schemas, seed=0)
 
@@ -256,3 +259,79 @@ def test_manifest_records_decision_toggles():
     assert m["contamination"] == 0.1
     assert m["max_train_rows"] == 500
     assert m["individuals"] == result.table.total_rows()
+
+
+def assert_exact_round_trip(coarse, table, schemas):
+    """Each unit's class counts are the budget of its proportions and its means lie within 1e-6."""
+    check = aggregate(table, schemas)
+    assert check.unit_ids == coarse.unit_ids
+    np.testing.assert_array_equal(check.populations, coarse.populations)
+    for sc in schemas:
+        want, got = coarse.matrix([sc]), check.matrix([sc])
+        if sc.is_categorical:
+            counts = np.rint(got * coarse.populations[:, None]).astype(np.int64)
+            np.testing.assert_array_equal(counts, integerize_budget(coarse.populations, want))
+        else:
+            assert np.all(np.abs(got - want) <= 1e-6 * np.maximum(1.0, want)), sc.name
+
+
+@pytest.mark.parametrize("tiny", [1e-200, 1e-310, 5e-324])
+def test_tiny_continuous_means_round_trip(tiny):
+    # (sd / mean)^2 overflows for these means: the lognormal solve must not
+    schemas = make_schemas([("a", 2, 0), ("x", None, 0), ("y", None, 1), ("b", 3, 1)])
+    units = make_units(schemas, [10, 20, 15, 12, 30, 25, 18, 22, 16, 24, 13, 28])
+    units[3].values["x"] = units[7].values["y"] = tiny
+    coarse = stack_units(units)
+    result = generate(coarse, schemas, seed=5)
+    assert_exact_round_trip(coarse, result.table, schemas)
+
+
+@st.composite
+def contract_cases(draw):
+    """A schema of 0-3 batches over 2-, 3-, 5- and 13-class and continuous features, and 1-30
+    units whose populations of 1, one-hot proportions and zero or tiny means occur at a drawn rate."""
+    doc = []
+    for batch in range(draw(st.integers(0, 3)) + 1):
+        for k in range(draw(st.integers(1, 2))):
+            n_classes = draw(st.sampled_from([None, 2, 3, 5, 13]))
+            entry = {"name": f"f{batch}_{k}", "kind": "categorical" if n_classes else "continuous", "batch": batch}
+            if n_classes:
+                entry["classes"] = [f"c{i}" for i in range(n_classes)]
+            doc.append(entry)
+    schemas = parse_schema(doc)
+    n_units, edge = draw(st.integers(1, 30)), draw(st.sampled_from([0.0, 0.2, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    units = []
+    for u in range(n_units):
+        values = {}
+        for sc in schemas:
+            if sc.is_categorical:
+                values[sc.name] = np.eye(sc.n_classes)[rng.integers(sc.n_classes)] if rng.random() < edge \
+                    else rng.dirichlet(np.ones(sc.n_classes))
+            else:
+                values[sc.name] = float(rng.choice([0.0, 1e-200, 5e-324])) if rng.random() < edge \
+                    else float(rng.uniform(0.0, 50.0))
+        population = 1 if rng.random() < edge else int(rng.integers(1, 40))
+        units.append(AggregationUnit(f"u{u:02d}", population, values))
+    options = {"sd_mode": draw(st.sampled_from(SD_MODES)), "outlier_removal": draw(st.booleans()),
+               "max_train_rows": draw(st.sampled_from([1, 50, None]))}
+    return schemas, stack_units(units), options
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=contract_cases(), seed=st.integers(0, 2**16))
+def test_generate_round_trips_or_names_the_phase(case, seed):
+    schemas, coarse, options = case
+    try:
+        first = generate(coarse, schemas, seed=seed, **options)
+    except DownscaleError as exc:
+        assert re.match(r"phase[1-4]/", str(exc)), str(exc)
+        return
+    assert_exact_round_trip(coarse, first.table, schemas)
+    again = generate(coarse, schemas, seed=seed, **options)
+    assert again.manifest == first.manifest
+
+    def cells(table):
+        return [table.person_index.tobytes()] + [table.column(sc.name).tobytes() for sc in schemas]
+
+    assert cells(again.table) == cells(first.table)

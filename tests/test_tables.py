@@ -1,4 +1,6 @@
 import pickle
+from dataclasses import FrozenInstanceError
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from downscale import (
     IndividualTable,
     UnitBlock,
     aggregate,
+    generate,
     load_coarse_csv,
     load_individual_csv,
     parse_schema,
@@ -21,7 +24,7 @@ from downscale import (
 from downscale.evaluation import default_study_config, generate_truth
 from downscale.rng import stream
 from downscale.schema import coordinates
-from conftest import make_coarse, make_schemas
+from conftest import make_coarse, make_schemas, stack_units
 
 CENSUS_SCHEMA = parse_schema([
     {"name": "avg_age", "kind": "continuous"},
@@ -155,6 +158,74 @@ def test_aggregate_empty():
     assert aggregate(IndividualTable([]), schemas).units == []
 
 
+def _coarse_from(source, tmp_path, schemas):
+    coarse = make_coarse(schemas, [5, 17, 101])
+    if source == "csv":
+        write_coarse_csv(tmp_path / "coarse.csv", coarse, schemas)
+        return load_coarse_csv(tmp_path / "coarse.csv", schemas)
+    if source == "aggregate":
+        rng = np.random.default_rng(2)
+        blocks = [UnitBlock(f"u{i}", n, {"g": rng.integers(0, 3, n), "x": rng.uniform(0, 5, n)})
+                  for i, n in enumerate([4, 1, 9])]
+        return aggregate(IndividualTable(blocks), schemas)
+    return coarse
+
+
+@pytest.mark.parametrize("source", ["constructor", "csv", "aggregate"])
+def test_coarse_views_and_arrays_cannot_be_edited(tmp_path, source):
+    schemas = make_schemas([("g", 3, 0), ("x", None, 0)])
+    coarse = _coarse_from(source, tmp_path, schemas)
+    before = coarse.matrix(schemas)
+    unit = coarse.units[1]
+    assert type(unit.values) is MappingProxyType and type(unit.values["x"]) is float
+    assert np.shares_memory(unit.values["g"], coarse.unit(unit.unit_id).values["g"])
+    with pytest.raises(TypeError):
+        unit.values["x"] = 1.0
+    with pytest.raises(FrozenInstanceError):
+        unit.population = 3
+    with pytest.raises(ValueError, match="read-only"):
+        unit.values["g"][0] = 0.5
+    with pytest.raises(ValueError, match="read-only"):
+        coarse.populations[0] = 3
+    np.testing.assert_array_equal(coarse.matrix(schemas), before)
+    back = pickle.loads(pickle.dumps(coarse))
+    np.testing.assert_array_equal(back.matrix(schemas), before)
+    with pytest.raises(ValueError, match="read-only"):
+        back.unit(unit.unit_id).values["g"][0] = 0.5
+
+
+def test_coarse_table_takes_its_arrays_read_only():
+    props, populations = np.array([[0.25, 0.75], [1.0, 0.0]]), np.array([4, 1])
+    coarse = CoarseTable(["a", "b"], populations, {"g": props})
+    assert not props.flags.writeable and not populations.flags.writeable
+    np.testing.assert_array_equal(coarse.matrix(make_schemas([("g", 2, 0)])), props)
+    assert coarse.total_population() == 5 and type(coarse.total_population()) is int
+
+
+def test_coarse_table_names_a_repeated_unit_and_a_misshapen_feature():
+    with pytest.raises(DataError, match="more than one unit 'a'"):
+        CoarseTable(["a", "b", "a"], [1, 2, 3], {})
+    with pytest.raises(DataError, match=r"'g' has shape \(2, 3\) for 3 units"):
+        CoarseTable(["a", "b", "c"], [1, 2, 3], {"x": np.ones(3), "g": np.ones((2, 3))})
+    with pytest.raises(DataError, match=r"'population' has shape \(2,\)"):
+        CoarseTable(["a"], [1, 2], {})
+
+
+def test_pipeline_and_coarse_io_build_no_unit_views(tmp_path, monkeypatch):
+    def refuse(self, unit_id):
+        raise AssertionError(f"CoarseTable.unit({unit_id!r}) called")
+
+    schemas = make_schemas([("a", 3, 0), ("x", None, 0), ("b", 2, 1)])
+    coarse = make_coarse(schemas, [7, 19, 33, 12, 25, 48, 11, 16, 21, 30, 14, 9])
+    monkeypatch.setattr(CoarseTable, "unit", refuse)
+    path = tmp_path / "coarse.csv"
+    write_coarse_csv(path, coarse, schemas)
+    loaded = load_coarse_csv(path, schemas)
+    back = aggregate(generate(loaded, schemas, seed=1).table, schemas)
+    assert back.unit_ids == coarse.unit_ids
+    np.testing.assert_array_equal(back.populations, coarse.populations)
+
+
 def test_aggregate_rejects_unfinalized():
     schemas = make_schemas([("gender", 2, 0)])
     block = UnitBlock("A", 2, {"gender": np.array([[0.5, 0.5], [0.2, 0.8]])})
@@ -244,6 +315,7 @@ def _set_cell(column, value, row=1, **more):
     (_set_cell("own", "half"), "bad value 'half' in column 'own', unit 'B'"),
     (_set_cell("population", "ten", row=0), "bad value 'ten' in column 'population', unit 'A'"),
     (_set_cell("population", "0"), "unit 'B' has population 0 < 1"),
+    (_set_cell("population", str(2**63)), f"bad value '{2**63}' in column 'population', unit 'B'"),
     (_set_cell("edu:a", "nan"), "non-finite proportion for 'edu' in 'B'"),
     (_set_cell("edu:a", "1.5", **{"edu:b": "-0.5", "edu:c": "0.0"}), "proportion outside [0, 1] for 'edu' in unit 'B'"),
     (_set_cell("own", "1.5"), "proportion outside [0, 1] for 'own' in unit 'B'"),
@@ -253,8 +325,8 @@ def _set_cell(column, value, row=1, **more):
 ], ids=[
     "no-unit-id", "no-population", "no-class-column", "no-binary-column", "no-continuous-column",
     "bad-mean-cell", "empty-proportion-cell", "bad-binary-cell", "bad-population-cell",
-    "population-below-one", "non-finite-proportion", "proportion-outside", "binary-outside",
-    "sum-off", "non-finite-mean", "negative-mean",
+    "population-below-one", "population-too-large", "non-finite-proportion", "proportion-outside",
+    "binary-outside", "sum-off", "non-finite-mean", "negative-mean",
 ])
 def test_each_coarse_fault_has_its_exact_message(tmp_path, edit, message):
     lines = FAULT_CSV.splitlines()
@@ -357,7 +429,7 @@ def coarse_tables(draw):
             props = np.array(weights, dtype=float) / sum(weights)
             values[sc.name] = np.array([props[0], 1.0 - props[0]]) if sc.n_classes == 2 else props
         units.append(AggregationUnit(f"u{u}", draw(st.integers(1, 10_000)), values))
-    return schemas, CoarseTable(units)
+    return schemas, stack_units(units)
 
 
 def _single_column_binaries(text, schemas):
