@@ -108,9 +108,9 @@ def sample_joint_batch(
     total = int(model.populations.sum())
     counts = rng_factory.stream("train_rows", phase_tag).multivariate_hypergeometric(
         model.populations, total if max_rows is None else min(max_rows, total))
-    blocks = sample_all_units(model, schemas_subset, coarse.unit_ids,
-                              lambda uid: rng_factory.stream(phase_tag, uid), counts)
-    return IndividualTable(blocks), model
+    table = IndividualTable(coarse.unit_ids, counts, {})
+    sample_all_units(model, schemas_subset, table, lambda uid: rng_factory.stream(phase_tag, uid))
+    return table, model
 
 
 def softmax_rows(scores: np.ndarray) -> np.ndarray:

@@ -317,20 +317,17 @@ def sample_unit_coordinates(model: CopulaModel, unit_id: str, rng: np.random.Gen
 def sample_all_units(
     model: CopulaModel,
     schemas: list[FeatureSchema],
-    unit_ids: list[str],
+    table: IndividualTable,
     rng_for_unit,
-    counts: np.ndarray | None = None,
 ) -> list[UnitBlock]:
-    """Sample every unit into a UnitBlock, each from ``rng_for_unit(unit_id)``:
-    ``counts`` rows per unit, by default its population.
+    """Fill ``table`` with draws over ``schemas``: ``table.sizes`` rows per unit,
+    each unit from ``rng_for_unit(unit_id)``; return ``table.blocks``.
 
     Beta draws for the classes of one categorical feature are renormalized
     into that cell's probability vector; continuous draws are stored
     directly.
     """
-    counts = model.populations[model.rows(unit_ids)] if counts is None else counts
-    draws = _draw_coordinates(model, unit_ids, rng_for_unit, counts)
-    table = IndividualTable(list(map(UnitBlock, unit_ids, counts.tolist())))
+    draws = _draw_coordinates(model, table.unit_ids, rng_for_unit, table.sizes)
     j = 0
     for sc in schemas:
         if sc.is_categorical:
@@ -340,6 +337,7 @@ def sample_all_units(
         else:
             table.set_column(sc.name, draws[:, j].copy())
             j += 1
+    # perfbench's copula.sample_all_units.rows counter sums b.size over this list
     return table.blocks
 
 

@@ -19,7 +19,7 @@ from .errors import DataError
 from .pipeline import generate
 from .rng import stream
 from .schema import FeatureSchema, parse_schema
-from .tables import IndividualTable, UnitBlock, aggregate
+from .tables import IndividualTable, aggregate
 
 # unit-size buckets: label, inclusive bounds
 SIZE_BUCKETS = (
@@ -253,20 +253,19 @@ def generate_truth(config: dict, rng: np.random.Generator) -> tuple[IndividualTa
     if min(low, high) < 1:
         raise DataError(f"generate_truth: size_low and size_high must be >= 1, got {low} and {high}")
     tilt = float(config.get("size_tilt", 1.8))
-    blocks = []
-    for m in range(int(config["units"])):
+    latents = []
+    for _ in range(int(config["units"])):
         u = rng.random() ** tilt
         n = int(round(low * (high / low) ** u))
         shift = unit_sd * (factor @ rng.standard_normal(n_feat))
-        latent = rng.standard_normal((n, n_feat)) @ factor.T + shift
-        columns = {}
-        for j, sc in enumerate(schemas):
-            if sc.is_categorical:
-                columns[sc.name] = np.searchsorted(thresholds[sc.name], latent[:, j]).astype(np.int64)
-            else:
-                columns[sc.name] = np.exp(latent[:, j])
-        blocks.append(UnitBlock(f"unit{m:04d}", n, columns))
-    return IndividualTable(blocks), schemas
+        latents.append(rng.standard_normal((n, n_feat)) @ factor.T + shift)
+    columns = {}
+    for sc, latent in zip(schemas, np.vstack(latents).T):
+        if sc.is_categorical:
+            columns[sc.name] = np.searchsorted(thresholds[sc.name], latent).astype(np.int64)
+        else:
+            columns[sc.name] = np.exp(latent)
+    return IndividualTable([f"unit{m:04d}" for m in range(len(latents))], list(map(len, latents)), columns), schemas
 
 
 def run_simulation_study(

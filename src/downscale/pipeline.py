@@ -38,12 +38,14 @@ class GenerationResult:
 
 @contextmanager
 def _phase(name):
-    """Re-raise package errors with the failing phase prepended."""
+    """Re-raise package errors, and running out of memory as a DataError, with the failing phase prepended."""
     t0 = time.perf_counter()
     try:
         yield
     except DownscaleError as exc:
         raise type(exc)(f"{name}: {exc}") from exc
+    except MemoryError as exc:
+        raise DataError(f"{name}: out of memory: {exc}") from exc
     log.info("%s finished in %.3fs", name, time.perf_counter() - t0)
 
 
@@ -85,9 +87,8 @@ def generate(
             model = fit_copula(coarse, core, report.flagged, sd_mode)
         else:
             _check_model(model, predictors, coarse, core, batches, sd_mode)
-        table = IndividualTable(
-            sample_all_units(model, core, coarse.unit_ids, lambda uid: rngf.stream("core", uid))
-        )
+        table = IndividualTable(coarse.unit_ids, coarse.populations, {})
+        sample_all_units(model, core, table, lambda uid: rngf.stream("core", uid))
 
     with _phase("phase3/batches"):
         if predictors is None:

@@ -15,6 +15,7 @@ import csv
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, repeat
 from pathlib import Path
 from types import MappingProxyType
@@ -88,9 +89,9 @@ class UnitBlock:
     intermediate categorical columns are (n, k) probability matrices.
     Continuous columns are 1-D float arrays.  A block read from a CSV keeps
     its rows' ascending ``person_index`` values; a generated block numbers
-    its rows 0..size-1.  The blocks of an ``IndividualTable`` are views:
-    their ``columns`` mapping is read-only and holds slices of the table's
-    arrays.
+    its rows 0..size-1.  The blocks of an ``IndividualTable`` are views
+    built on the table's first read of them: their ``columns`` mapping is
+    read-only and holds slices of the table's arrays.
     """
 
     unit_id: str
@@ -104,51 +105,50 @@ class UnitBlock:
 
 
 class IndividualTable:
-    """Individuals of every unit, each feature stored once as one array
-    stacked over all rows in block order.
+    """Individuals of every unit in ``unit_ids`` order, ``sizes`` rows each; each
+    feature is stored once as one array over all rows, which ``column(name)`` returns.
 
-    ``column(name)`` returns that array.  ``blocks`` and ``block(unit_id)``
-    give per-unit views of it: an element written through a view reaches
-    the table, but a view's ``columns`` cannot be reassigned.
-    ``set_column`` is the only writer of a feature.
+    ``blocks`` and ``block(unit_id)`` give per-unit views, built on the first read
+    and then kept: an element written through a view reaches the table, but a
+    view's ``columns`` cannot be reassigned.  ``set_column`` is the only writer.
     """
 
-    def __init__(self, blocks: list[UnitBlock]):
-        names = list(dict.fromkeys(name for b in blocks for name in b.columns))
-        for b in blocks:
-            for name in names:
-                if name not in b.columns:
-                    raise DataError(f"IndividualTable: unit {b.unit_id!r} lacks feature {name!r}")
-                if len(b.columns[name]) != b.size:
-                    raise DataError(f"IndividualTable: unit {b.unit_id!r} has {len(b.columns[name])} rows "
-                                    f"of feature {name!r}, not {b.size}")
-        self.sizes = np.array([b.size for b in blocks], dtype=np.int64)  # per-block row counts
-        self.sizes.flags.writeable = False
-        ends = np.cumsum(self.sizes).tolist()
-        self._bounds = list(zip([0] + ends, ends))
-        self.person_index = np.concatenate([b.person_index for b in blocks] or [np.zeros(0, np.int64)])
-        self._columns: dict[str, np.ndarray] = {}
-        self._views: list[dict[str, np.ndarray]] = [{} for _ in blocks]
-        self.blocks = [UnitBlock(b.unit_id, b.size, MappingProxyType(view), index)
-                       for b, view, index in zip(blocks, self._views, self.split(self.person_index))]
-        self._by_id = {b.unit_id: b for b in self.blocks}
-        if len(self._by_id) != len(blocks):
+    def __init__(self, unit_ids: list[str], sizes, columns: Mapping[str, np.ndarray], person_index=None):
+        self.unit_ids = list(unit_ids)
+        self._rows = {unit_id: i for i, unit_id in enumerate(self.unit_ids)}
+        if len(self._rows) != len(self.unit_ids):
             repeated = Counter(self.unit_ids).most_common(1)[0][0]
-            raise DataError(f"IndividualTable: more than one block for unit {repeated!r}")
-        for name in names:
-            self.set_column(name, np.concatenate([b.columns[name] for b in blocks]))
+            raise DataError(f"IndividualTable: more than one unit {repeated!r}")
+        self.sizes = np.array(sizes, dtype=np.int64)  # per-unit row counts
+        if self.sizes.shape != (len(self.unit_ids),):
+            raise DataError(f"IndividualTable: {self.sizes.size} sizes for {len(self.unit_ids)} units")
+        self.sizes.flags.writeable = False
+        ends = np.cumsum(self.sizes)
+        self._bounds = list(zip((ends - self.sizes).tolist(), ends.tolist()))
+        total = int(ends[-1]) if ends.size else 0
+        if person_index is None:  # each unit's rows 0..size-1
+            person_index = np.arange(total) - np.repeat(ends - self.sizes, self.sizes)
+        self.person_index = np.asarray(person_index, dtype=np.int64)
+        if self.person_index.shape != (total,):
+            raise DataError(f"IndividualTable: person_index has shape {self.person_index.shape} for {total} rows")
+        self._columns: dict[str, np.ndarray] = {}
+        self._views: list[dict[str, np.ndarray]] = []  # the blocks' column dicts, empty until built
+        for name, values in columns.items():
+            self.set_column(name, values)
 
-    def __reduce__(self):
-        # pickled as plain blocks; unpickling stacks them again
-        return IndividualTable, ([UnitBlock(b.unit_id, b.size, dict(b.columns), b.person_index)
-                                  for b in self.blocks],)
+    def __reduce__(self):  # pickled as columns: the views' MappingProxyTypes do not pickle
+        return IndividualTable, (self.unit_ids, self.sizes, self._columns, self.person_index)
+
+    @cached_property
+    def blocks(self) -> list[UnitBlock]:
+        self._views = [{} for _ in self.unit_ids]
+        for name, values in list(self._columns.items()):
+            self.set_column(name, values)
+        return [UnitBlock(unit_id, n, MappingProxyType(view), index) for unit_id, n, view, index in
+                zip(self.unit_ids, self.sizes.tolist(), self._views, self.split(self.person_index))]
 
     def block(self, unit_id: str) -> UnitBlock:
-        return self._by_id[unit_id]
-
-    @property
-    def unit_ids(self) -> list[str]:
-        return [b.unit_id for b in self.blocks]
+        return self.blocks[self._rows[unit_id]]
 
     def total_rows(self) -> int:
         return len(self.person_index)
@@ -163,15 +163,15 @@ class IndividualTable:
 
     def set_column(self, name: str, values: np.ndarray) -> None:
         """Store ``values``, a feature stacked over all rows in block order, as the
-        table's copy of it; every block's view then shows its rows of ``values``."""
+        table's copy of it; every block's view, once built, then shows its rows of ``values``."""
         if len(values) != self.total_rows():
             raise DataError(f"set_column: {len(values)} values of {name!r} for {self.total_rows()} rows")
         self._columns[name] = values
-        for view, part in zip(self._views, self.split(values)):
-            view[name] = part
+        for view, (start, end) in zip(self._views, self._bounds):
+            view[name] = values[start:end]
 
     def is_finalized(self, schemas: list[FeatureSchema]) -> bool:
-        return not self.blocks or all(
+        return not self.unit_ids or all(
             sc.name in self._columns and (not sc.is_categorical or self._columns[sc.name].ndim == 1)
             for sc in schemas
         )
@@ -366,7 +366,10 @@ def load_individual_csv(path: str | Path, schemas: list[FeatureSchema]) -> Indiv
     codes = np.array([code.setdefault(uid, len(code)) for uid in unit_col])
     unit_ids = list(code)
     texts = columns[position["person_index"]]
-    person_index = np.array(_parse_column(int, texts, "person_index", where, unit_col), dtype=np.int64)
+    try:
+        person_index = np.array(_parse_column(int, texts, "person_index", where, unit_col), dtype=np.int64)
+    except OverflowError:  # an index past int64: parsing as np.int64 names its cell
+        person_index = np.array(_parse_column(np.int64, texts, "person_index", where, unit_col))
     # one stable sort: units in first-appearance order, each by person_index
     order = np.lexsort((person_index, codes))
     codes, person_index = codes[order], person_index[order]
@@ -376,9 +379,7 @@ def load_individual_csv(path: str | Path, schemas: list[FeatureSchema]) -> Indiv
         values = np.unique(person_index[1:][repeated & (codes[1:] == unit)]).tolist()
         raise DataError(f"{where}: duplicate person_index {values[:5]} in unit {unit_ids[unit]!r}")
 
-    counts = np.bincount(codes)
-    table = IndividualTable([UnitBlock(uid, n, person_index=index) for uid, n, index in
-                             zip(unit_ids, counts.tolist(), np.split(person_index, np.cumsum(counts)[:-1]))])
+    cells = {}
     for sc in schemas:
         texts = columns[position[sc.name]]
         if sc.is_categorical:
@@ -391,5 +392,5 @@ def load_individual_csv(path: str | Path, schemas: list[FeatureSchema]) -> Indiv
                                 f"in unit {unit_col[texts.index(label)]!r}") from None
         else:
             col = np.array(_parse_column(float, texts, sc.name, where, unit_col), dtype=float)
-        table.set_column(sc.name, col[order])
-    return table
+        cells[sc.name] = col[order]
+    return IndividualTable(unit_ids, np.bincount(codes), cells, person_index)

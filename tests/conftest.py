@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from downscale import AggregationUnit, CoarseTable, FeatureSchema
+from downscale import AggregationUnit, CoarseTable, FeatureSchema, IndividualTable
 
 
 def make_schemas(spec):
@@ -25,6 +25,14 @@ def stack_units(units):
     names = units[0].values if units else ()
     return CoarseTable([u.unit_id for u in units], [u.population for u in units],
                        {name: np.array([u.values[name] for u in units], dtype=float) for name in names})
+
+
+def stack_blocks(blocks):
+    """An IndividualTable over a list of UnitBlocks, each feature and ``person_index`` stacked over the blocks."""
+    names = blocks[0].columns if blocks else ()
+    return IndividualTable([b.unit_id for b in blocks], [b.size for b in blocks],
+                           {name: np.concatenate([b.columns[name] for b in blocks]) for name in names},
+                           np.concatenate([b.person_index for b in blocks]) if blocks else None)
 
 
 def make_units(schemas, populations, rng=None):

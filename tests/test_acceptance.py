@@ -11,7 +11,6 @@ import numpy as np
 from scipy.stats import spearmanr
 
 from downscale import (
-    IndividualTable,
     UnitBlock,
     aggregate,
     align_rows,
@@ -30,7 +29,7 @@ from downscale.rng import stream
 from downscale.scaling import assign_categories
 from downscale.schema import Coordinate
 from downscale.tables import write_coarse_csv
-from conftest import make_coarse, make_schemas
+from conftest import make_coarse, make_schemas, stack_blocks
 
 
 def report(number, name, ok, detail=""):
@@ -156,8 +155,8 @@ def test_criterion_05_baseline_reproduction():
     worst = 0.0
     for c in (2, 3, 5, 7, 13):
         schemas = make_schemas([("f", c, 0)])
-        t = IndividualTable([UnitBlock("u", n, {"f": rng.integers(0, c, n)})])
-        g = IndividualTable([UnitBlock("u", n, {"f": rng.integers(0, c, n)})])
+        t = stack_blocks([UnitBlock("u", n, {"f": rng.integers(0, c, n)})])
+        g = stack_blocks([UnitBlock("u", n, {"f": rng.integers(0, c, n)})])
         acc = cell_accuracy(align_rows(t, g, schemas, sort_features=[]), schemas).by_class_count[c]
         worst = max(worst, abs(acc - expected[c]))
     report(5, "baseline reproduction", worst < 0.02 + 5e-4, f"max |acc - 1/c| {worst:.4f} within 0.02")

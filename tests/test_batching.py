@@ -16,7 +16,7 @@ from downscale import batching
 from downscale.batching import GRAD_TOL, core_input_matrix, softmax_hessian, softmax_loss_and_grad
 from downscale.copula import fit_copula, sample_all_units
 from downscale.rng import RngFactory, draw_rows, stream
-from conftest import make_coarse, make_schemas
+from conftest import make_coarse, make_schemas, stack_blocks
 
 
 def test_partition_by_batch_id():
@@ -132,7 +132,8 @@ def test_training_rows_are_each_units_first_rows():
     # several seeds, so that some units get one row: a one-row product rounds apart from a longer one in BLAS
     for seed in range(10):
         rngf = RngFactory(seed)
-        full = sample_all_units(model, schemas, coarse.unit_ids, lambda uid: rngf.stream("b1", uid))
+        full = sample_all_units(model, schemas, IndividualTable(coarse.unit_ids, coarse.populations, {}),
+                                lambda uid: rngf.stream("b1", uid))
         table, _ = sample_joint_batch(coarse, schemas, set(), rngf, "b1", "sqrt_n", max_rows=40)
         assert table.total_rows() == 40
         sizes |= set(table.sizes.tolist())
@@ -142,8 +143,8 @@ def test_training_rows_are_each_units_first_rows():
     assert {0, 1} <= sizes
     # a unit with no rows takes no stream
     asked = []
-    sample_all_units(model, schemas, coarse.unit_ids, lambda uid: asked.append(uid) or rngf.stream("b1", uid),
-                     table.sizes)
+    sample_all_units(model, schemas, IndividualTable(coarse.unit_ids, table.sizes, {}),
+                     lambda uid: asked.append(uid) or rngf.stream("b1", uid))
     assert asked == [uid for uid, k in zip(coarse.unit_ids, table.sizes) if k]
 
 
@@ -162,7 +163,7 @@ def make_k_table(x_probs, target_probs, core=None):
         columns[sc.name] = x_probs[:, j:j + sc.n_classes]
         j += sc.n_classes
     columns["t"] = target_probs
-    return IndividualTable([UnitBlock("u", n, columns)])
+    return stack_blocks([UnitBlock("u", n, columns)])
 
 
 def test_predictor_independent_target_matches_frequencies():
@@ -223,12 +224,12 @@ def test_predictor_continuous_target_linear():
     x = rng.uniform(0, 10, n)
     y = 2.0 * x + 3.0 * p_a[:, 0] + 1.0
     block = UnitBlock("u", n, {"a": p_a, "x": x, "y": y})
-    pred = fit_predictor(IndividualTable([block]), core, target, stream(3, "pred", "y"))
+    pred = fit_predictor(stack_blocks([block]), core, target, stream(3, "pred", "y"))
     test_block = UnitBlock("v", 4, {
         "a": np.array([[0.2, 0.8], [0.8, 0.2], [0.5, 0.5], [1.0, 0.0]]),
         "x": np.array([1.0, 5.0, 2.5, 9.0]),
     })
-    got = pred.predict_value(core_input_matrix(IndividualTable([test_block]), core))
+    got = pred.predict_value(core_input_matrix(stack_blocks([test_block]), core))
     want = 2.0 * test_block.columns["x"] + 3.0 * test_block.columns["a"][:, 0] + 1.0
     np.testing.assert_allclose(got, want, rtol=1e-6)
 

@@ -273,6 +273,10 @@ def _bad_person_index(header, rows):
     rows[1][header.index("person_index")] = "x"
 
 
+def _person_index_past_int64(header, rows):
+    rows[1][header.index("person_index")] = "99999999999999999999"
+
+
 def _bad_continuous_value(header, rows):
     rows[1][header.index("spend")] = "abc"
 
@@ -285,9 +289,10 @@ def _duplicate_person_index(header, rows):
 @pytest.mark.parametrize("command", ["evaluate", "match"])
 @pytest.mark.parametrize("corrupt, expected", [
     (_bad_person_index, "bad value 'x' in column 'person_index'"),
+    (_person_index_past_int64, "bad value '99999999999999999999' in column 'person_index'"),
     (_bad_continuous_value, "bad value 'abc' in column 'spend'"),
     (_duplicate_person_index, "duplicate person_index"),
-], ids=["bad-index", "bad-value", "duplicate-index"])
+], ids=["bad-index", "index-past-int64", "bad-value", "duplicate-index"])
 def test_malformed_individual_csv_is_a_clean_error(fixture_paths, capsys, command, corrupt, expected):
     tmp_path, schema_path, coarse_path, _ = fixture_paths
     _, out = run_generate(tmp_path, schema_path, coarse_path, "pool.csv")
@@ -303,6 +308,20 @@ def test_malformed_individual_csv_is_a_clean_error(fixture_paths, capsys, comman
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: load_individual_csv:")
     assert "pool.csv" in err[0] and expected in err[0]
+
+
+def test_a_population_too_large_to_sample_names_the_phase(tmp_path, capsys):
+    # 10**15 rows need more than the 128 TiB x86-64 user address space, so the
+    # allocation fails before anything is allocated, whatever the overcommit setting
+    schemas = parse_schema(SCHEMA_DOC)
+    coarse_path, schema_path = tmp_path / "coarse.csv", tmp_path / "schema.json"
+    write_coarse_csv(coarse_path, make_coarse(schemas, [8, 15, 22, 11, 30, 9, 17, 25, 13, 19, 10, 10**15]), schemas)
+    schema_path.write_text(json.dumps(SCHEMA_DOC))
+    capsys.readouterr()
+    code, out = run_generate(tmp_path, schema_path, coarse_path, "people.csv")
+    assert code == 1 and not out.exists()
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: phase2/copula: out of memory:")
 
 
 @pytest.mark.parametrize("flag", ["--out", "--save-model", "--outlier-report"])

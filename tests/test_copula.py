@@ -12,6 +12,7 @@ from scipy.stats import spearmanr
 from downscale import (
     AggregationUnit,
     EstimationError,
+    IndividualTable,
     estimate_correlation,
     fit_copula,
     fit_unit_marginals,
@@ -420,8 +421,10 @@ def test_batched_sampling_matches_per_unit_path():
     coarse = make_coarse(schemas, [17, 5, 40, 8, 23, 11])
     model = fit_copula(coarse, schemas)
     rng_for_unit = lambda uid: stream(9, "core", uid)
-    per_unit = [sample_all_units(model, schemas, [uid], rng_for_unit)[0] for uid in coarse.unit_ids]
-    batched = sample_all_units(model, schemas, coarse.unit_ids, rng_for_unit)
+    per_unit = [sample_all_units(model, schemas, IndividualTable([uid], [n], {}), rng_for_unit)[0]
+                for uid, n in zip(coarse.unit_ids, coarse.populations.tolist())]
+    batched = sample_all_units(model, schemas, IndividualTable(coarse.unit_ids, coarse.populations, {}),
+                               rng_for_unit)
     for a, b in zip(per_unit, batched):
         assert a.unit_id == b.unit_id
         np.testing.assert_array_equal(a.columns["g"], b.columns["g"])
@@ -432,7 +435,8 @@ def test_sampled_block_shapes_and_normalization():
     schemas = make_schemas([("g", 3, 0), ("inc", None, 0)])
     coarse = make_coarse(schemas, [30] * 10)
     model = fit_copula(coarse, schemas)
-    [block] = sample_all_units(model, schemas, ["u0003"], lambda uid: stream(0, "core", uid))
+    [block] = sample_all_units(model, schemas, IndividualTable(["u0003"], [30], {}),
+                               lambda uid: stream(0, "core", uid))
     assert block.columns["g"].shape == (30, 3)
     np.testing.assert_allclose(block.columns["g"].sum(axis=1), 1.0, atol=1e-12)
     assert block.columns["inc"].shape == (30,)
@@ -492,7 +496,8 @@ def test_model_file_round_trip_property(tmp_path_factory, seed, n_units, classes
         np.testing.assert_array_equal(getattr(back, name)[rows], getattr(model, name))
 
     def draw(m):
-        return sample_all_units(m, schemas, coarse.unit_ids, lambda uid: stream(seed, "core", uid))
+        return sample_all_units(m, schemas, IndividualTable(coarse.unit_ids, coarse.populations, {}),
+                                lambda uid: stream(seed, "core", uid))
 
     for fitted, loaded in zip(draw(model), draw(back)):
         for name, column in fitted.columns.items():

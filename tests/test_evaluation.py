@@ -3,7 +3,6 @@ import pytest
 
 from downscale import (
     DataError,
-    IndividualTable,
     UnitBlock,
     aggregate,
     align_rows,
@@ -16,7 +15,7 @@ from downscale import (
 )
 from downscale.evaluation import SIZE_BUCKETS, AccuracyReport, size_bucket
 from downscale.rng import stream
-from conftest import make_schemas
+from conftest import make_schemas, stack_blocks
 
 INTERNET = ["news", "podcasts", "sports", "fashion", "food", "health", "travel", "social", "music"]
 
@@ -52,7 +51,7 @@ def table_from_rows(rows_per_unit):
         for sc in WORKED_SCHEMA:
             columns[sc.name] = np.array([r[sc.name] for r in rows], dtype=np.int64)
         blocks.append(UnitBlock(unit_id, n, columns))
-    return IndividualTable(blocks)
+    return stack_blocks(blocks)
 
 
 def test_worked_example_scores_six_of_twelve():
@@ -88,8 +87,8 @@ def test_identity_on_identical_tables():
 
 def test_zero_when_every_cell_differs():
     schemas = make_schemas([("a", 2, 0), ("b", 3, 1)])
-    t = IndividualTable([UnitBlock("u", 2, {"a": np.array([0, 0]), "b": np.array([1, 1])})])
-    g = IndividualTable([UnitBlock("u", 2, {"a": np.array([1, 1]), "b": np.array([2, 0])})])
+    t = stack_blocks([UnitBlock("u", 2, {"a": np.array([0, 0]), "b": np.array([1, 1])})])
+    g = stack_blocks([UnitBlock("u", 2, {"a": np.array([1, 1]), "b": np.array([2, 0])})])
     # empty sort key pairs rows positionally
     report = cell_accuracy(align_rows(t, g, schemas, sort_features=[]), schemas)
     assert report.overall == 0.0
@@ -97,24 +96,24 @@ def test_zero_when_every_cell_differs():
 
 def test_population_mismatch_rejected():
     schemas = make_schemas([("a", 2, 0)])
-    t = IndividualTable([UnitBlock("u", 2, {"a": np.array([0, 1])})])
-    g = IndividualTable([UnitBlock("u", 3, {"a": np.array([0, 1, 1])})])
+    t = stack_blocks([UnitBlock("u", 2, {"a": np.array([0, 1])})])
+    g = stack_blocks([UnitBlock("u", 3, {"a": np.array([0, 1, 1])})])
     with pytest.raises(DataError, match="population mismatch"):
         align_rows(t, g, schemas)
 
 
 def test_unit_set_mismatch_rejected():
     schemas = make_schemas([("a", 2, 0)])
-    t = IndividualTable([UnitBlock("u", 1, {"a": np.array([0])})])
-    g = IndividualTable([UnitBlock("v", 1, {"a": np.array([0])})])
+    t = stack_blocks([UnitBlock("u", 1, {"a": np.array([0])})])
+    g = stack_blocks([UnitBlock("v", 1, {"a": np.array([0])})])
     with pytest.raises(DataError, match="unit sets differ"):
         align_rows(t, g, schemas)
 
 
 def test_unit_only_in_one_table_is_named():
     schemas = make_schemas([("a", 2, 0)])
-    t = IndividualTable([UnitBlock(u, 1, {"a": np.array([0])}) for u in ("u", "w")])
-    g = IndividualTable([UnitBlock(u, 1, {"a": np.array([0])}) for u in ("w", "v")])
+    t = stack_blocks([UnitBlock(u, 1, {"a": np.array([0])}) for u in ("u", "w")])
+    g = stack_blocks([UnitBlock(u, 1, {"a": np.array([0])}) for u in ("w", "v")])
     with pytest.raises(DataError, match="unit 'u' is only in the truth table"):
         align_rows(t, g, schemas)
     with pytest.raises(DataError, match="unit 'u' is only in the generated table"):
@@ -130,10 +129,10 @@ def test_units_are_paired_by_id_not_by_position():
                                    "x": rng.integers(0, 2, n) * 1.5}) for uid, n in sizes]
 
     sizes = [("A", 4), ("B", 12), ("C", 30)]
-    truth = IndividualTable(blocks(sizes))
+    truth = stack_blocks(blocks(sizes))
     generated = blocks(sizes)
-    aligned = cell_accuracy(align_rows(truth, IndividualTable(generated), schemas), schemas)
-    reordered = IndividualTable([generated[1], generated[2], generated[0]])
+    aligned = cell_accuracy(align_rows(truth, stack_blocks(generated), schemas), schemas)
+    reordered = stack_blocks([generated[1], generated[2], generated[0]])
     pairs = align_rows(truth, reordered, schemas)
     assert cell_accuracy(pairs, schemas) == aligned
     # every pair lies in one unit: the generated rows follow the truth table's unit order
@@ -141,7 +140,7 @@ def test_units_are_paired_by_id_not_by_position():
     np.testing.assert_array_equal(units[pairs.truth_order],
                                   np.repeat(np.array(reordered.unit_ids), reordered.sizes)[pairs.generated_order])
     with pytest.raises(DataError, match=r"population mismatch in unit 'C' \(30 vs 29\)"):
-        align_rows(truth, IndividualTable(blocks([("C", 29), ("A", 4), ("B", 12)])), schemas)
+        align_rows(truth, stack_blocks(blocks([("C", 29), ("A", 4), ("B", 12)])), schemas)
 
 
 def test_size_buckets():
@@ -160,8 +159,8 @@ def test_random_assignment_matches_one_over_c(rng):
     n = 10_000
     for c in (2, 3, 13):
         schemas = make_schemas([("f", c, 0)])
-        t = IndividualTable([UnitBlock("u", n, {"f": rng.integers(0, c, n)})])
-        g = IndividualTable([UnitBlock("u", n, {"f": rng.integers(0, c, n)})])
+        t = stack_blocks([UnitBlock("u", n, {"f": rng.integers(0, c, n)})])
+        g = stack_blocks([UnitBlock("u", n, {"f": rng.integers(0, c, n)})])
         report = cell_accuracy(align_rows(t, g, schemas, sort_features=[]), schemas)
         assert abs(report.by_class_count[c] - 1.0 / c) < 0.02
         assert report.baselines[c] == 1.0 / c
@@ -201,7 +200,7 @@ def test_independent_binary_features_match_derived_oracle():
             p = rng.uniform(0.2, 0.8)
             cols[sc.name] = (rng.random(n) < p).astype(np.int64)
         blocks.append(UnitBlock(f"u{m:03d}", n, cols))
-    truth = IndividualTable(blocks)
+    truth = stack_blocks(blocks)
     coarse = aggregate(truth, schemas)
     result = generate(coarse, schemas, seed=7, outlier_removal=False)
     report = cell_accuracy(align_rows(truth, result.table, schemas), schemas)
@@ -273,7 +272,7 @@ def test_report_equals_a_per_unit_count():
             col[noise] = rng.integers(0, sc.n_classes, noise.sum()) if sc.is_categorical else 1.0
             columns[sc.name] = col
         blocks.append(UnitBlock(t.unit_id, t.size, columns))
-    generated = IndividualTable(blocks)
+    generated = stack_blocks(blocks)
     assert {size_bucket(t.size) for t in truth.blocks} == {label for label, _, _ in SIZE_BUCKETS}
     report = cell_accuracy(align_rows(truth, generated, schemas), schemas)
     assert report == _per_unit_report(truth, generated, schemas)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from downscale import DataError, IndividualTable, MatchQuery, UnitBlock, parse_schema, probabilistic_match
+from downscale import DataError, MatchQuery, UnitBlock, parse_schema, probabilistic_match
+from conftest import stack_blocks
 
 # ages as ordinal year classes so index distance mirrors year distance
 AGE_CLASSES = [str(y) for y in range(18, 71)]
@@ -26,7 +27,7 @@ def pool_table(rows_by_unit):
                 },
             )
         )
-    return IndividualTable(blocks)
+    return stack_blocks(blocks)
 
 
 BURNABY_POOL = pool_table({

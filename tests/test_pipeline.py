@@ -11,7 +11,6 @@ from downscale import (
     DataError,
     DownscaleError,
     EstimationError,
-    IndividualTable,
     UnitBlock,
     aggregate,
     generate,
@@ -20,7 +19,7 @@ from downscale import (
 )
 from downscale import batching, pipeline
 from downscale.copula import SD_MODES, load_model, save_model
-from conftest import make_coarse, make_schemas, make_units, stack_units
+from conftest import make_coarse, make_schemas, make_units, stack_blocks, stack_units
 
 CENSUS_SCHEMA = parse_schema([
     {"name": "avg_age", "kind": "continuous"},
@@ -84,7 +83,7 @@ def test_aggregation_born_coarse_reproduced_exactly():
             "a": rng.integers(0, 3, n),
             "b": rng.integers(0, 2, n),
         }))
-    truth = IndividualTable(blocks)
+    truth = stack_blocks(blocks)
     coarse = aggregate(truth, schemas)
     result = generate(coarse, schemas, seed=4)
     check = aggregate(result.table, schemas)

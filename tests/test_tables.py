@@ -21,10 +21,10 @@ from downscale import (
     write_coarse_csv,
     write_individual_csv,
 )
-from downscale.evaluation import default_study_config, generate_truth
+from downscale.evaluation import align_rows, cell_accuracy, default_study_config, generate_truth
 from downscale.rng import stream
 from downscale.schema import coordinates
-from conftest import make_coarse, make_schemas, stack_units
+from conftest import make_coarse, make_schemas, stack_blocks, stack_units
 
 CENSUS_SCHEMA = parse_schema([
     {"name": "avg_age", "kind": "continuous"},
@@ -126,7 +126,7 @@ def test_missing_feature_column(tmp_path):
 def test_aggregate_counts():
     schemas = make_schemas([("gender", 2, 0)])
     block = UnitBlock("A", 4, {"gender": np.array([0, 0, 1, 0])})
-    coarse = aggregate(IndividualTable([block]), schemas)
+    coarse = aggregate(stack_blocks([block]), schemas)
     np.testing.assert_allclose(coarse.unit("A").values["gender"], [0.75, 0.25])
     assert coarse.unit("A").population == 4
 
@@ -136,7 +136,7 @@ def test_aggregate_counts_each_unit_as_its_own_bincount():
     rng = np.random.default_rng(4)
     blocks = [UnitBlock(f"u{i}", n, {"g": rng.integers(0, 3, n), "x": rng.uniform(0, 5, n)})
               for i, n in enumerate([7, 1, 12, 3])]
-    coarse = aggregate(IndividualTable(blocks), schemas)
+    coarse = aggregate(stack_blocks(blocks), schemas)
     assert coarse.unit_ids == ["u0", "u1", "u2", "u3"]
     for block, unit in zip(blocks, coarse.units):
         assert unit.population == block.size
@@ -150,12 +150,12 @@ def test_aggregate_rejects_a_class_index_outside_the_classes(index):
     schemas = make_schemas([("gender", 2, 0)])
     blocks = [UnitBlock("A", 2, {"gender": np.array([0, 1])}), UnitBlock("B", 2, {"gender": np.array([1, index])})]
     with pytest.raises(DataError, match=rf"class index {index} of 'gender' outside \[0, 2\) in unit 'B'"):
-        aggregate(IndividualTable(blocks), schemas)
+        aggregate(stack_blocks(blocks), schemas)
 
 
 def test_aggregate_empty():
     schemas = make_schemas([("gender", 2, 0)])
-    assert aggregate(IndividualTable([]), schemas).units == []
+    assert aggregate(stack_blocks([]), schemas).units == []
 
 
 def _coarse_from(source, tmp_path, schemas):
@@ -167,7 +167,7 @@ def _coarse_from(source, tmp_path, schemas):
         rng = np.random.default_rng(2)
         blocks = [UnitBlock(f"u{i}", n, {"g": rng.integers(0, 3, n), "x": rng.uniform(0, 5, n)})
                   for i, n in enumerate([4, 1, 9])]
-        return aggregate(IndividualTable(blocks), schemas)
+        return aggregate(stack_blocks(blocks), schemas)
     return coarse
 
 
@@ -230,7 +230,7 @@ def test_aggregate_rejects_unfinalized():
     schemas = make_schemas([("gender", 2, 0)])
     block = UnitBlock("A", 2, {"gender": np.array([[0.5, 0.5], [0.2, 0.8]])})
     with pytest.raises(DataError, match="unfinalized"):
-        aggregate(IndividualTable([block]), schemas)
+        aggregate(stack_blocks([block]), schemas)
 
 
 def test_coarse_round_trip(tmp_path):
@@ -254,7 +254,7 @@ def test_individual_round_trip(tmp_path):
         UnitBlock(uid, 6, {"a": rng.integers(0, 3, 6), "x": rng.uniform(0, 5, 6)})
         for uid in ("B", "A")  # file order preserved, not alphabetical
     ]
-    table = IndividualTable(blocks)
+    table = stack_blocks(blocks)
     path = tmp_path / "people.csv"
     write_individual_csv(path, table, schemas)
     back = load_individual_csv(path, schemas)
@@ -266,7 +266,7 @@ def test_individual_round_trip(tmp_path):
 
 def test_write_individual_rejects_unfinalized(tmp_path):
     schemas = make_schemas([("a", 2, 0)])
-    table = IndividualTable([UnitBlock("A", 1, {"a": np.array([[0.5, 0.5]])})])
+    table = stack_blocks([UnitBlock("A", 1, {"a": np.array([[0.5, 0.5]])})])
     with pytest.raises(DataError, match="unfinalized"):
         write_individual_csv(tmp_path / "x.csv", table, schemas)
 
@@ -471,7 +471,7 @@ def test_write_load_round_trips(tmp_path, data, shuffle):
         }
         blocks.append(UnitBlock(unit.unit_id, n, columns))
     people = tmp_path / "people.csv"
-    write_individual_csv(people, IndividualTable(blocks), schemas)
+    write_individual_csv(people, stack_blocks(blocks), schemas)
     header, *body = people.read_text().splitlines()
     shuffle.shuffle(body)
     people.write_text("\n".join([header] + body) + "\n")
@@ -498,7 +498,7 @@ def test_generated_block_numbers_its_rows():
 
 
 def test_column_stacks_blocks_and_set_column_splits_them_back():
-    table = IndividualTable([UnitBlock("A", 2, {"x": np.array([1.0, 2.0])}),
+    table = stack_blocks([UnitBlock("A", 2, {"x": np.array([1.0, 2.0])}),
                              UnitBlock("B", 1, {"x": np.array([3.0])})])
     np.testing.assert_array_equal(table.column("x"), [1.0, 2.0, 3.0])
     probs = np.arange(6.0).reshape(3, 2)
@@ -511,7 +511,7 @@ def test_column_stacks_blocks_and_set_column_splits_them_back():
 def _two_unit_table():
     blocks = [UnitBlock("A", 2, {"a": np.array([0, 1]), "x": np.array([1.0, 2.0])}),
               UnitBlock("B", 3, {"a": np.array([2, 2, 0]), "x": np.array([3.0, 4.0, 5.0])}, np.array([4, 7, 9]))]
-    return blocks, IndividualTable(blocks)
+    return blocks, stack_blocks(blocks)
 
 
 def test_each_feature_is_stored_once():
@@ -547,22 +547,62 @@ def test_a_table_pickles_with_its_views():
 
 
 def test_empty_table():
-    table = IndividualTable([])
+    table = stack_blocks([])
     assert table.blocks == [] and table.unit_ids == [] and table.total_rows() == 0
     assert table.sizes.shape == (0,)
 
 
-@pytest.mark.parametrize("blocks, message", [
-    ([UnitBlock("A", 1, {"a": np.array([0]), "x": np.array([1.0])}), UnitBlock("B", 1, {"a": np.array([1])})],
-     "unit 'B' lacks feature 'x'"),
-    ([UnitBlock("A", 1, {"a": np.array([0])}), UnitBlock("B", 1, {"a": np.array([1]), "x": np.array([1.0])})],
-     "unit 'A' lacks feature 'x'"),
-    ([UnitBlock("A", 2, {"a": np.array([0])})], "unit 'A' has 1 rows of feature 'a', not 2"),
-    ([UnitBlock("A", 1), UnitBlock("B", 1), UnitBlock("A", 2)], "more than one block for unit 'A'"),
-], ids=["missing-later", "missing-first", "short", "repeated-unit"])
-def test_blocks_that_do_not_stack_are_named(blocks, message):
+@pytest.mark.parametrize("args, message", [
+    ((["A", "B", "A"], [1, 1, 2], {}), "IndividualTable: more than one unit 'A'"),
+    ((["A", "B"], [1], {}), "IndividualTable: 1 sizes for 2 units"),
+    ((["A", "B"], [2, 1], {"a": np.array([0, 1, 2]), "x": np.array([1.0, 2.0])}), "2 values of 'x' for 3 rows"),
+    ((["A"], [2], {}, np.array([0])), r"IndividualTable: person_index has shape \(1,\) for 2 rows"),
+], ids=["repeated-unit", "sizes-count", "short", "short-person-index"])
+def test_blocks_that_do_not_stack_are_named(args, message):
+    # a table's per-unit row blocks must stack into its unit list, columns and person_index
     with pytest.raises(DataError, match=message):
-        IndividualTable(blocks)
+        IndividualTable(*args)
+
+
+def test_default_person_index_numbers_rows_as_a_block_does():
+    sizes = [3, 0, 2]
+    table = IndividualTable(["A", "B", "C"], sizes, {})
+    expected = np.concatenate([UnitBlock(uid, n).person_index for uid, n in zip("ABC", sizes)])
+    np.testing.assert_array_equal(table.person_index, expected)
+    assert table.person_index.dtype == expected.dtype
+    assert [b.person_index.tolist() for b in table.blocks] == [[0, 1, 2], [], [0, 1]]
+
+
+def test_a_table_built_from_columns_pickles_and_round_trips_through_csv(tmp_path):
+    table = IndividualTable(["B", "A"], [3, 2], {"a": np.array([2, 2, 0, 0, 1]),
+                                                 "x": np.array([3.0, 4.0, 5.0, 1.0, 2.0])}, [4, 7, 9, 0, 1])
+    path = tmp_path / "people.csv"
+    write_individual_csv(path, table, INDIVIDUAL_SCHEMA)
+    for back in (pickle.loads(pickle.dumps(table)), load_individual_csv(path, INDIVIDUAL_SCHEMA)):
+        assert back.unit_ids == ["B", "A"]
+        np.testing.assert_array_equal(back.sizes, [3, 2])
+        np.testing.assert_array_equal(back.person_index, [4, 7, 9, 0, 1])
+        for name in ("a", "x"):
+            np.testing.assert_array_equal(back.column(name), table.column(name))
+        np.testing.assert_array_equal(back.block("A").columns["x"], [1.0, 2.0])
+
+
+def test_individual_io_truth_and_scoring_build_no_unit_views(tmp_path, monkeypatch):
+    def refuse(self):
+        raise AssertionError("IndividualTable.blocks read")
+
+    monkeypatch.setattr(IndividualTable, "blocks", property(refuse))
+    config = default_study_config()
+    config["units"] = 12
+    truth, schemas = generate_truth(config, stream(3, "truth"))
+    path = tmp_path / "truth.csv"
+    write_individual_csv(path, truth, schemas)
+    loaded = load_individual_csv(path, schemas)
+    loaded = pickle.loads(pickle.dumps(loaded))
+    coarse = aggregate(loaded, schemas)
+    assert coarse.unit_ids == truth.unit_ids
+    np.testing.assert_array_equal(coarse.populations, truth.sizes)
+    assert cell_accuracy(align_rows(truth, loaded, schemas), schemas).overall == 1.0
 
 
 def test_repeated_coarse_unit_names_the_unit_and_file(tmp_path):
