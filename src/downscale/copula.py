@@ -34,6 +34,8 @@ _VAR_FLOOR = 1e-6
 _VAR_CEIL_FACTOR = 0.999
 # betaincinv may underflow degenerate draws to exactly 0; keep renormalization defined
 _PROB_FLOOR = 1e-12
+# a uniform below betainc(a, b, _PROB_FLOOR) shrunk by this factor has a quantile below the floor
+_FLOOR_CUT = 1.0 - 1e-6
 _U_CLIP = 1e-15
 
 BETA = "beta"
@@ -281,14 +283,29 @@ def fit_copula(
     return CopulaModel(coords, correlation, coarse.unit_ids, coarse.populations, *marginals, sigma, sd_mode)
 
 
+def _floored_beta_quantile(a: np.ndarray, b: np.ndarray, u: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """max(betaincinv(a, b, u), 1e-12) for stacked uniforms ``u``, unit i's (a[i], b[i])
+    holding for its ``counts[i]`` rows.  A uniform below the unit's cut,
+    betainc(a, b, 1e-12) shrunk by 1e-6 relative, has its quantile below the floor and
+    takes the floor without the inverse; a NaN cut sends every row to the inverse."""
+    cut = np.repeat(betainc(a, b, _PROB_FLOOR) * _FLOOR_CUT, counts)
+    live = np.flatnonzero(~(u < cut))
+    unit = np.repeat(np.arange(len(a)), counts)[live]
+    out = np.full(u.shape, _PROB_FLOOR)
+    out[live] = np.maximum(betaincinv(a[unit], b[unit], u[live]), _PROB_FLOOR)
+    return out
+
+
 def _draw_coordinates(model: CopulaModel, unit_ids: list[str], rng_for_unit, counts: np.ndarray) -> np.ndarray:
-    """Stacked raw coordinate draws for ``unit_ids``, ``counts`` rows each.
+    """Stacked coordinate draws for ``unit_ids``, ``counts`` rows each.
 
     Each unit draws its own correlated normals Z from ``rng_for_unit(unit_id)``
     through the Cholesky factor, so its rows do not depend on which other
     units are sampled, and its first k rows not on its count; a unit with no
     rows takes no stream.  Every row is F_d^{-1}(Phi(Z_d)), with the quantile
     maps applied across all units in one vectorized call per coordinate.
+    Beta draws are floored at 1e-12 (``_floored_beta_quantile``), so the rows
+    whose uniform lies under the floor's CDF skip the costly inverse.
     """
     rows, factor = model.rows(unit_ids), model.correlation.cholesky_factor
     z = np.vstack([rng_for_unit(unit_id).standard_normal((n, len(factor)))
@@ -299,18 +316,17 @@ def _draw_coordinates(model: CopulaModel, unit_ids: list[str], rng_for_unit, cou
     out = np.empty_like(u)
     at = np.repeat(rows, counts)
     for j, lognormal in enumerate(_lognormal(model.coordinates)):
-        a, b = model.a[at, j], model.b[at, j]
         if not lognormal:
-            out[:, j] = betaincinv(a, b, u[:, j])
+            out[:, j] = _floored_beta_quantile(model.a[rows, j], model.b[rows, j], u[:, j], counts)
         else:
-            out[:, j] = np.exp(a + b * ndtri(u[:, j]))  # b = 0 gives exp(a), 0 for a = -inf
+            out[:, j] = np.exp(model.a[at, j] + model.b[at, j] * ndtri(u[:, j]))  # b = 0 gives exp(a), 0 for a = -inf
     if not np.all(np.isfinite(out)):
         raise EstimationError("sample_all_units: non-finite draws")
     return out
 
 
 def sample_unit_coordinates(model: CopulaModel, unit_id: str, rng: np.random.Generator) -> np.ndarray:
-    """Raw coordinate draws for one unit: a (population, dim) array."""
+    """Coordinate draws for one unit: a (population, dim) array, beta draws floored at 1e-12."""
     return _draw_coordinates(model, [unit_id], lambda _: rng, model.populations[model.rows([unit_id])])
 
 
@@ -323,15 +339,15 @@ def sample_all_units(
     """Fill ``table`` with draws over ``schemas``: ``table.sizes`` rows per unit,
     each unit from ``rng_for_unit(unit_id)``; return ``table.blocks``.
 
-    Beta draws for the classes of one categorical feature are renormalized
-    into that cell's probability vector; continuous draws are stored
-    directly.
+    Beta draws, floored at 1e-12 by ``_draw_coordinates``, for the classes of
+    one categorical feature are renormalized into that cell's probability
+    vector; continuous draws are stored directly.
     """
     draws = _draw_coordinates(model, table.unit_ids, rng_for_unit, table.sizes)
     j = 0
     for sc in schemas:
         if sc.is_categorical:
-            raw = np.maximum(draws[:, j : j + sc.n_classes], _PROB_FLOOR)
+            raw = draws[:, j : j + sc.n_classes]
             table.set_column(sc.name, raw / raw.sum(axis=1, keepdims=True))
             j += sc.n_classes
         else:

@@ -52,6 +52,9 @@ def assign_categories(prob_rows: np.ndarray, budget: np.ndarray, rng) -> np.ndar
     those before the first that overdraws a class.  That row redraws with its
     second uniform as the unit's first pending row, which sees the exact mask;
     the rows after it keep their first uniform, independent of the rejection.
+    A row with a positive entry in every class keeps mass while its unit has
+    rows pending, so only the rows holding a zero are rechecked when their
+    unit's mask changes.
     """
     prob_rows = np.asarray(prob_rows, dtype=float)
     n, c = prob_rows.shape
@@ -71,14 +74,18 @@ def assign_categories(prob_rows: np.ndarray, budget: np.ndarray, rng) -> np.ndar
     ends = np.cumsum(sizes)
     start = ends - sizes  # each unit's first pending row
     out = np.empty(n, dtype=np.int64)
+    sparse = np.flatnonzero(~np.all(prob_rows > 0.0, axis=1))  # the only rows that can lose their mass
     zero = np.zeros(n, dtype=bool)  # rows with no mass under their unit's mask
+    next_zero = np.full(n + 2, n)  # the first zero-mass row at or after each row
     stale = np.ones(len(left), dtype=bool)  # units whose mask changed since their zero-mass rows were found
     while np.any(start < ends):
         mask = left > 0
         if stale.any():
-            rows = np.flatnonzero(stale[code])
-            zero[rows] = ~((prob_rows[rows] * mask[code[rows]]).max(axis=1) > 0.0)
-            next_zero = np.minimum.accumulate(np.r_[np.where(zero, np.arange(n), n), n, n][::-1])[::-1]
+            rows = sparse[stale[code[sparse]]]
+            flags = ~((prob_rows[rows] * mask[code[rows]]).max(axis=1) > 0.0)
+            if not np.array_equal(flags, zero[rows]):
+                zero[rows] = flags
+                next_zero = np.minimum.accumulate(np.r_[np.where(zero, np.arange(n), n), n, n][::-1])[::-1]
         # a zero-mass row after its unit's first pending row ends the round: draw only the rows before it
         lengths = np.minimum(next_zero[start + 1], ends) - start
         seg = np.repeat(np.arange(len(left)), lengths)

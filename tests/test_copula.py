@@ -339,6 +339,26 @@ def test_beta_quantile_inverts_cdf_to_1e10():
         assert np.max(np.abs(betainc(a, b, x) - u)) < 1e-10
 
 
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_floored_beta_quantile_is_the_floored_inverse_bit_for_bit(seed):
+    # 4,000 units of 0-3 rows each, (a, b) log-uniform over [1e-6, 1e3]; uniforms mix plain
+    # draws, the sampler's clip bounds and points within 1e-6 relative of the floor's CDF
+    from scipy.special import betainc, betaincinv
+
+    from downscale.copula import _floored_beta_quantile
+
+    rng = np.random.default_rng(seed)
+    a, b = 10.0 ** rng.uniform(-6.0, 3.0, (2, 4_000))
+    counts = rng.integers(0, 4, 4_000)
+    a_rows, b_rows = np.repeat(a, counts), np.repeat(b, counts)
+    near = betainc(a_rows, b_rows, 1e-12) * (1.0 + rng.uniform(-1e-6, 1e-6, a_rows.size))
+    u = np.choose(rng.integers(0, 4, a_rows.size), [rng.random(a_rows.size), np.full(a_rows.size, 1e-15),
+                                                    np.full(a_rows.size, 1.0 - 1e-15), near])
+    expected = np.maximum(betaincinv(a_rows, b_rows, u), 1e-12)
+    np.testing.assert_array_equal(_floored_beta_quantile(a, b, u, counts), expected)
+
+
 def test_normal_cdf_reference_values():
     assert ndtr(0.0) == 0.5
     # reference values accurate to full double precision

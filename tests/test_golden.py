@@ -1,7 +1,11 @@
 """Golden output: the exact bytes of a small ``sync generate`` / ``sync
 evaluate`` / ``sync match`` run, of the truth table it starts from, and
 of a ``sync generate --load-model`` rerun from the saved model (the one
-end-to-end byte check of model file -> model -> draws).
+end-to-end byte check of model file -> model -> draws), and of a second
+``sync generate`` run with argmax phase 3 and pooled sds: near-one-hot
+phase-3 rows make the assignment overdraw more often, and the moderate
+beta parameters of pooled sds put 445 of its 24,084 beta draws under the
+sampler's 1e-12 floor, against 15,977 in the default run.
 
 The run is a 40-unit copy of the simulation study's schema with one
 continuous feature per batch.  A refactor that is meant to leave the seed
@@ -27,6 +31,11 @@ GOLDEN = {
     "truth.csv": "fb300f138d79664481018974ae9499d096482fc3be2feece76e809afaf032139",
     "match.csv": "c83bdd40e34152acc62e64bd3787f6d42cdfaa1dba7b0372755174ef0d3547fc",
 }
+# generate --phase3 argmax --sd-mode pooled on the same inputs
+ARGMAX_POOLED = {
+    "people.csv": "67ae1b240ea6f33d11b36f016bc737650b7be5338a07b7dd8eb3a30ffee40297",
+    "people.csv.manifest.json": "4088de4dd0fb0eb35c13ba6779388a6c0d2d473f7f85324546ddc54b06441160",
+}
 # the rerun from the saved model: same people.csv bytes, "model_source": "supplied" in its manifest
 RELOADED_MANIFEST = "91f69d2e8f2d5b06c725db63284022ce76ba1f9f8cedb56322b873548985f1b1"
 # an ordinal, a nominal and a continuous attribute
@@ -44,7 +53,8 @@ def golden_config() -> dict:
     return config
 
 
-def test_generate_and_evaluate_bytes_are_pinned(tmp_path):
+def write_inputs(tmp_path):
+    """Write the golden truth, its coarse table and the schema; return their paths."""
     truth, schemas = generate_truth(golden_config(), stream(7, "truth"))
     schema_path = tmp_path / "schema.json"
     schema_path.write_text(json.dumps(schema_to_json(schemas)), encoding="utf-8")
@@ -52,6 +62,15 @@ def test_generate_and_evaluate_bytes_are_pinned(tmp_path):
     write_coarse_csv(coarse_path, aggregate(truth, schemas), schemas)
     truth_path = tmp_path / "truth.csv"
     write_individual_csv(truth_path, truth, schemas)
+    return schema_path, coarse_path, truth_path
+
+
+def digest(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_generate_and_evaluate_bytes_are_pinned(tmp_path):
+    schema_path, coarse_path, truth_path = write_inputs(tmp_path)
 
     assert main(["generate", "--coarse", str(coarse_path), "--schema", str(schema_path),
                  "--out", str(tmp_path / "people.csv"), "--seed", "7", "--max-train-rows", "300",
@@ -67,9 +86,14 @@ def test_generate_and_evaluate_bytes_are_pinned(tmp_path):
                  "--out", str(tmp_path / "reloaded.csv"), "--seed", "7", "--max-train-rows", "300",
                  "--load-model", str(tmp_path / "model.json")]) == 0
 
-    def digest(name):
-        return hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+    assert {name: digest(tmp_path / name) for name in GOLDEN} == GOLDEN
+    assert digest(tmp_path / "reloaded.csv") == GOLDEN["people.csv"]
+    assert digest(tmp_path / "reloaded.csv.manifest.json") == RELOADED_MANIFEST
 
-    assert {name: digest(name) for name in GOLDEN} == GOLDEN
-    assert digest("reloaded.csv") == GOLDEN["people.csv"]
-    assert digest("reloaded.csv.manifest.json") == RELOADED_MANIFEST
+
+def test_argmax_pooled_generate_bytes_are_pinned(tmp_path):
+    schema_path, coarse_path, _ = write_inputs(tmp_path)
+    assert main(["generate", "--coarse", str(coarse_path), "--schema", str(schema_path),
+                 "--out", str(tmp_path / "people.csv"), "--phase3", "argmax", "--sd-mode", "pooled",
+                 "--seed", "7", "--max-train-rows", "300"]) == 0
+    assert {name: digest(tmp_path / name) for name in ARGMAX_POOLED} == ARGMAX_POOLED

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -312,3 +314,45 @@ def test_assign_with_no_rows_returns_no_classes():
 def test_shift_sizes_must_cover_the_values():
     with pytest.raises(DataError, match="unit sizes sum to 3"):
         shift_continuous(np.ones(4), np.array([1.0, 1.0]), np.array([1, 2]))
+
+
+def _mixed_mass_units():
+    """200 units of dense rows, rows holding 1e-300 and 5e-324 entries, rows with
+    exact zeros and one-hot rows; every fourth unit has a class with one seat,
+    which its dense rows can exhaust mid-round."""
+    rng = np.random.default_rng(2024)
+    c = 4
+    sizes = rng.integers(1, 40, 200)
+    budget = np.zeros((200, c), dtype=np.int64)
+    for u, size in enumerate(sizes.tolist()):
+        p = rng.dirichlet(np.full(c, 1.0))
+        if u % 4 == 0:
+            k = int(rng.integers(c))
+            p[k] = 0.0
+            budget[u, k] = 1
+        budget[u] += rng.multinomial(size - budget[u].sum(), p / p.sum())
+    n = int(sizes.sum())
+    rows = rng.dirichlet(np.full(c, 0.5), size=n)
+    kind = rng.integers(0, 6, n)  # 0-1 dense, 2 tiny, 3 subnormal, 4 exact zeros, 5 one-hot
+    rows[kind == 2, rng.integers(0, c, int((kind == 2).sum()))] = 1e-300
+    rows[kind == 3, rng.integers(0, c, int((kind == 3).sum()))] = 5e-324
+    zeros = np.flatnonzero(kind == 4)
+    rows[zeros, rng.integers(0, c, zeros.size)] = 0.0
+    rows[zeros, rng.integers(0, c, zeros.size)] = 0.0
+    rows[kind == 5] = np.eye(c)[rng.integers(0, c, int((kind == 5).sum()))]
+    return sizes, budget, rows
+
+
+# sha256 of the int64 classes assigned to _mixed_mass_units under stream(11, "mixed", u)
+MIXED_MASS_DIGEST = "049fa2683894fab28d83d64eb4b35ecff1b2124a9bbe3ecd750bb6c7249437d9"
+
+
+def test_assign_mixed_mass_units_are_pinned():
+    sizes, budget, rows = _mixed_mass_units()
+    assert np.all(budget.sum(axis=1) == sizes)
+    out = assign_categories(rows, budget, [stream(11, "mixed", u) for u in range(len(sizes))])
+    assert hashlib.sha256(out.astype("<i8").tobytes()).hexdigest() == MIXED_MASS_DIGEST
+    bounds = np.cumsum(sizes)[:-1]
+    for u, (part, prob) in enumerate(zip(np.split(out, bounds), np.split(rows, bounds))):
+        np.testing.assert_array_equal(part, assign_categories(prob, budget[u], stream(11, "mixed", u)))
+        np.testing.assert_array_equal(np.bincount(part, minlength=budget.shape[1]), budget[u])
