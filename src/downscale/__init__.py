@@ -1,6 +1,6 @@
 """Downscaling toolkit: individual-level records from aggregated tables."""
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .errors import DataError, DownscaleError, EstimationError, SchemaError
 from .schema import Coordinate, FeatureSchema, coordinates, load_schema, parse_schema

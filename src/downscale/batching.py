@@ -40,6 +40,11 @@ HESSIAN_CHUNK_ROWS = 4096
 RIDGE = 1e-8
 
 
+def _encode(x: np.ndarray, center: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Design matrix of a predictor: standardized inputs and an intercept column."""
+    return np.hstack([(x - center) / scale, np.ones((x.shape[0], 1))])
+
+
 @dataclass
 class Predictor:
     """Fitted conditional model of one target feature given the core features."""
@@ -54,19 +59,15 @@ class Predictor:
     constant_probs: np.ndarray | None = None
     constant_value: float = 0.0
 
-    def _encode(self, x: np.ndarray) -> np.ndarray:
-        xs = (x - self.center) / self.scale
-        return np.hstack([xs, np.ones((xs.shape[0], 1))])
-
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         if self.kind == CONSTANT:
             return np.tile(self.constant_probs, (x.shape[0], 1))
-        return softmax_rows(self._encode(x) @ self.weights.T)
+        return softmax_rows(_encode(x, self.center, self.scale) @ self.weights.T)
 
     def predict_value(self, x: np.ndarray) -> np.ndarray:
         if self.kind == CONSTANT:
             return np.full(x.shape[0], self.constant_value)
-        return self._encode(x) @ self.weights
+        return _encode(x, self.center, self.scale) @ self.weights
 
 
 def partition_batches(
@@ -226,7 +227,7 @@ def fit_predictor(
             sd = float(x[:, j].std())
             center[j] = float(x[:, j].mean())
             scale[j] = sd if sd > 0 else 1.0
-    xb = np.hstack([(x - center) / scale, np.ones((x.shape[0], 1))])
+    xb = _encode(x, center, scale)
 
     if target.is_categorical:
         observed = np.unique(y)

@@ -46,15 +46,16 @@ def assign_categories(prob_rows: np.ndarray, budget: np.ndarray, rng) -> np.ndar
     mass there, in proportion to the budget left (so the procedure terminates
     where the rejection-sampling reading would loop forever).
 
-    Each row takes two uniforms from its unit's generator.  In each round a
-    unit's pending rows up to the first zero-mass one after its first draw
-    under the unit's mask as it stood at the round's start, and the unit keeps
-    those before the first that overdraws a class.  That row redraws with its
-    second uniform as the unit's first pending row, which sees the exact mask;
-    the rows after it keep their first uniform, independent of the rejection.
-    A row with a positive entry in every class keeps mass while its unit has
-    rows pending, so only the rows holding a zero are rechecked when their
-    unit's mask changes.
+    Each unit takes one uniform per row from its generator, and row r draws
+    with the r-th (``draw_rows`` of its weights scaled to a largest of 1), so
+    the classes equal a loop over the rows one at a time bit for bit.  In
+    each round a unit's pending rows up to the first zero-mass one after its
+    first draw under the unit's mask as it stood at the round's start, and
+    the unit keeps them through the first that takes a class's last seat:
+    each kept row saw its exact mask, and the rows after it draw again next
+    round with the same uniforms.  A row with a positive entry in every
+    class keeps mass while its unit has rows pending, so only the rows
+    holding a zero are rechecked when their unit's mask changes.
     """
     prob_rows = np.asarray(prob_rows, dtype=float)
     n, c = prob_rows.shape
@@ -68,8 +69,7 @@ def assign_categories(prob_rows: np.ndarray, budget: np.ndarray, rng) -> np.ndar
     if not np.all(np.isfinite(prob_rows)) or prob_rows.min(initial=0.0) < 0:
         raise DataError("assign_categories: probability rows must be finite and nonnegative")
     # uniforms in (0, 1] and rows scaled to a largest weight of 1: draw_rows never picks a zero weight
-    uniforms = 1.0 - np.concatenate([g.random((k, 2)) for g, k in zip(rngs, sizes.tolist())])
-    second = np.zeros(n, dtype=np.intp)  # 1 once a row's first uniform has overdrawn
+    uniforms = 1.0 - np.concatenate([g.random(k) for g, k in zip(rngs, sizes.tolist())])
     code = np.repeat(np.arange(len(left)), sizes)
     ends = np.cumsum(sizes)
     start = ends - sizes  # each unit's first pending row
@@ -94,17 +94,15 @@ def assign_categories(prob_rows: np.ndarray, budget: np.ndarray, rng) -> np.ndar
         weights = prob_rows[rows] * mask[seg]
         weights[zero[rows]] = left[seg[zero[rows]]]
         weights /= weights.max(axis=1, keepdims=True)
-        draws = draw_rows(weights, uniforms[rows, second[rows]])
+        draws = draw_rows(weights, uniforms[rows])
         # how often each row's class was drawn in its unit so far this round
         tally = np.cumsum(np.eye(c, dtype=np.int64)[draws], axis=0)
         drawn = tally[np.arange(rows.size), draws] - tally[first, draws] + (draws[first] == draws)
-        over = drawn > left[seg, draws]
-        stops = np.cumsum(np.r_[0, over])  # a unit's own: minus stops[first]
-        keep = stops[1:] == stops[first]
+        stops = np.cumsum(np.r_[0, drawn >= left[seg, draws]])  # a unit's own: minus stops[first]
+        keep = stops[:-1] == stops[first]  # through the unit's first row to take a last seat
         out[rows[keep]] = draws[keep]
         left -= np.bincount(seg[keep] * c + draws[keep], minlength=left.size).reshape(left.shape)
         start += np.bincount(seg[keep], minlength=start.size)
-        second[rows[over & (stops[1:] == stops[first] + 1)]] = 1
         stale = np.any(mask != (left > 0), axis=1)
     return out
 

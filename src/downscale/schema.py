@@ -123,6 +123,15 @@ def load_schema(path: str | Path) -> list[FeatureSchema]:
     return parse_schema(raw)
 
 
+# optional fields and the JSON types they take (a JSON true is not an integer)
+_FIELD_TYPES = {
+    "batch": ("an integer", lambda v: type(v) is int),
+    "core": ("a boolean", lambda v: type(v) is bool),
+    "ordinal": ("a boolean", lambda v: type(v) is bool),
+    "classes": ("an array", lambda v: isinstance(v, (list, tuple))),
+}
+
+
 def parse_schema(raw) -> list[FeatureSchema]:
     """Build a schema list from already-parsed JSON."""
     if not isinstance(raw, list):
@@ -131,15 +140,19 @@ def parse_schema(raw) -> list[FeatureSchema]:
     for entry in raw:
         if not isinstance(entry, dict) or "name" not in entry or "kind" not in entry:
             raise SchemaError(f"load_schema: feature entry {entry!r} needs 'name' and 'kind'")
-        batch = int(entry.get("batch", 0))
+        for field, (what, fits) in _FIELD_TYPES.items():
+            if field in entry and not fits(entry[field]):
+                raise SchemaError(f"load_schema: feature {entry['name']!r} has {field!r} {entry[field]!r}, "
+                                  f"which is not {what}")
+        batch = entry.get("batch", 0)
         schemas.append(
             FeatureSchema(
                 name=str(entry["name"]),
                 kind=str(entry["kind"]),
                 classes=tuple(str(c) for c in entry.get("classes", ())),
                 batch=batch,
-                core=bool(entry.get("core", batch == 0)),
-                ordinal=bool(entry.get("ordinal", False)),
+                core=entry.get("core", batch == 0),
+                ordinal=entry.get("ordinal", False),
             )
         )
     validate_schemas(schemas)

@@ -265,6 +265,9 @@ def _read_csv(path: str | Path, where: str) -> tuple[dict[str, int], list[tuple[
         header = next(reader, None)
         if header is None:
             raise DataError(f"{where}: {path} is empty (no header row)")
+        if len(set(header)) != len(header):
+            repeated = Counter(header).most_common(1)[0][0]
+            raise DataError(f"{where}: {path} names column {repeated!r} more than once")
         rows = []
         for row in reader:
             if len(row) != len(header):
@@ -309,19 +312,24 @@ def write_coarse_csv(path: str | Path, coarse: CoarseTable, schemas: list[Featur
 
 def aggregate(individuals: IndividualTable, schemas: list[FeatureSchema]) -> CoarseTable:
     """Re-aggregate an individual table: class counts / n (one ``bincount`` of (unit,
-    class) per feature) and arithmetic means (one ``np.mean`` per unit, whose
-    summation order the outputs built on the aggregate depend on)."""
+    class) per feature) and arithmetic means (one ``np.add.reduceat`` over the units'
+    rows per feature, whose summation order the outputs built on the aggregate
+    depend on).  A unit with no rows has no proportions or means and is named."""
     unit_ids, sizes = individuals.unit_ids, individuals.sizes
     if not unit_ids:
         return CoarseTable([], [], {})
+    empty = np.flatnonzero(sizes == 0)[:1]
+    if empty.size:
+        raise DataError(f"aggregate: unit {unit_ids[empty[0]]!r} has no rows")
     code = np.repeat(np.arange(len(unit_ids)), sizes)
+    heads = np.cumsum(sizes) - sizes
     columns = {}
     for sc in schemas:
         if not individuals.is_finalized([sc]):
             raise DataError(f"aggregate: feature {sc.name!r} is missing or has unfinalized cells")
         col = individuals.column(sc.name)
         if not sc.is_categorical:
-            columns[sc.name] = [np.mean(part) for part in individuals.split(col)]
+            columns[sc.name] = np.add.reduceat(col, heads) / sizes
             continue
         outside = np.flatnonzero((col < 0) | (col >= sc.n_classes))[:1]
         if outside.size:

@@ -2,8 +2,7 @@
 evaluate`` / ``sync match`` run, of the truth table it starts from, and
 of a ``sync generate --load-model`` rerun from the saved model (the one
 end-to-end byte check of model file -> model -> draws), and of a second
-``sync generate`` run with argmax phase 3 and pooled sds: near-one-hot
-phase-3 rows make the assignment overdraw more often, and the moderate
+``sync generate`` run with argmax phase 3 and pooled sds: the moderate
 beta parameters of pooled sds put 445 of its 24,084 beta draws under the
 sampler's 1e-12 floor, against 15,977 in the default run.
 
@@ -24,20 +23,20 @@ from downscale.schema import schema_to_json
 from downscale.tables import aggregate, write_coarse_csv, write_individual_csv
 
 GOLDEN = {
-    "people.csv": "1dacf39c6f9a57be80072ac291d6966767b42a025ba6a57cc4f1ca36a89f95bd",
-    "people.csv.manifest.json": "796c4bcc6000587b9c1808f273fad14cea93c08ec56afdc34fcdfeb28f60984d",
-    "model.json": "3273e98c1ebfd15bb8bcd95283c33fdbb8bf462a03b544ae038910d0fad25891",
-    "report.csv": "9adbbaed57df14310099d5bed2fa4cac6c50ee8cdcb3ed89479e8c0cb9fe4fe4",
+    "people.csv": "f153eec2808daa0b6aada9dd82c2208c19580545ab939bdd39fed0494f8b63dd",
+    "people.csv.manifest.json": "90d5b4c43411a01d9c9fc75f6b720808887ed770934cc97e2e0c2710c48ed147",
+    "model.json": "f89c8b7aa4da0bd9dcd926bb8932558cc21e69a5c9663aa28cf143c1c5e18be1",
+    "report.csv": "8b743057f67c69443577132ad65aeb34f73e7ed8a9fc9f06f5fa24cd8a65a796",
     "truth.csv": "fb300f138d79664481018974ae9499d096482fc3be2feece76e809afaf032139",
-    "match.csv": "c83bdd40e34152acc62e64bd3787f6d42cdfaa1dba7b0372755174ef0d3547fc",
+    "match.csv": "34f30ca7e443552fe59343b58a617c70b4f7211d71bb212c0c7aad7b7eb9236c",
 }
 # generate --phase3 argmax --sd-mode pooled on the same inputs
 ARGMAX_POOLED = {
-    "people.csv": "67ae1b240ea6f33d11b36f016bc737650b7be5338a07b7dd8eb3a30ffee40297",
-    "people.csv.manifest.json": "4088de4dd0fb0eb35c13ba6779388a6c0d2d473f7f85324546ddc54b06441160",
+    "people.csv": "18331e29047dc56aaaa3120ca10d8bf617eb309d258420ccafac2e3fa6317030",
+    "people.csv.manifest.json": "4ba6b5d706d4c241c5c65379aaa4c0b96a56beece57103510786f7d270ed0a35",
 }
 # the rerun from the saved model: same people.csv bytes, "model_source": "supplied" in its manifest
-RELOADED_MANIFEST = "91f69d2e8f2d5b06c725db63284022ce76ba1f9f8cedb56322b873548985f1b1"
+RELOADED_MANIFEST = "d1e8b7f7e9d5b244bbada9a853797df6e79e0d8763c9e4bf97d753d92f9837df"
 # an ordinal, a nominal and a continuous attribute
 QUERY = {"unit_id": "unit0003", "attributes": {"age": "35-44", "gender": "female", "hh_income": 1.5}}
 

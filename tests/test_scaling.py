@@ -2,11 +2,11 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from downscale import DataError, assign_categories, integerize_budget, shift_continuous
-from downscale.rng import stream
+from downscale.rng import draw_rows, stream
 
 
 def test_largest_remainder_three_seats():
@@ -249,6 +249,49 @@ def test_assign_over_many_units_follows_the_sequential_masked_law():
         assert chi_square_p(outcomes[name], sequential_law(*LAW_CASES[name])) > LAW_LEVEL, name
 
 
+def assign_one_row_at_a_time(prob_rows, budget, rngs):
+    """The assignment law as a plain loop: each unit takes one uniform per row
+    from its generator, and row r draws its vector masked to the classes with
+    budget left (the budget left where that has no mass), scaled to a largest
+    weight of 1, with uniform r."""
+    rows = iter(np.asarray(prob_rows, dtype=float))
+    out = []
+    for left, g in zip(np.array(budget, dtype=np.int64).reshape(len(rngs), -1), rngs):
+        for u in 1.0 - g.random(int(left.sum())):
+            w = next(rows) * (left > 0)
+            if not w.max() > 0.0:
+                w = left.astype(float)
+            out.append(int(draw_rows(w[None] / w.max(), np.array([u]))[0]))
+            left[out[-1]] -= 1
+    return np.array(out, dtype=np.int64)
+
+
+# exact zeros, 1e-300 and 5e-324 entries, and rows of 0s and 1s (one-hots among them)
+_ENTRIES = st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 1.0]), st.floats(1e-3, 1.0))
+
+
+@st.composite
+def _assignment_calls(draw):
+    """Units of 0 to 15 rows over 2 to 5 classes; zero-budget classes, one-row units and calls with no rows."""
+    c = draw(st.integers(2, 5))
+    budget = np.array(draw(st.lists(st.lists(st.sampled_from([0, 0, 1, 1, 2, 3]), min_size=c, max_size=c),
+                                    min_size=1, max_size=6)), dtype=np.int64).reshape(-1, c)
+    n = int(budget.sum())
+    rows = np.array(draw(st.lists(_ENTRIES, min_size=n * c, max_size=n * c)), dtype=float).reshape(n, c)
+    return rows, budget, draw(st.integers(0, 2**32))
+
+
+@given(_assignment_calls())
+@example((np.zeros((0, 3)), np.zeros((2, 3), dtype=np.int64), 0))
+@settings(max_examples=300, deadline=None)
+def test_assign_equals_the_one_row_at_a_time_loop(call):
+    rows, budget, seed = call
+    out = assign_categories(rows, budget, [stream(seed, "loop", u) for u in range(len(budget))])
+    loop = assign_one_row_at_a_time(rows, budget, [stream(seed, "loop", u) for u in range(len(budget))])
+    np.testing.assert_array_equal(out, loop)
+    np.testing.assert_array_equal(np.bincount(out, minlength=budget.shape[1]), budget.sum(axis=0))
+
+
 def _random_units(seed, n_units, c):
     """Per-unit budgets and stacked probability rows with one-hot (zero-mass prone) rows mixed in."""
     rng = np.random.default_rng(seed)
@@ -264,6 +307,8 @@ def _random_units(seed, n_units, c):
 def test_each_unit_of_an_all_units_call_is_its_one_unit_call(seed):
     sizes, budget, rows = _random_units(seed, 40, 2 + seed % 3)
     out = assign_categories(rows, budget, [stream(seed, "unit", u) for u in range(len(sizes))])
+    loop = assign_one_row_at_a_time(rows, budget, [stream(seed, "unit", u) for u in range(len(sizes))])
+    np.testing.assert_array_equal(out, loop)
     bounds = np.cumsum(sizes)[:-1]
     for u, (part, prob) in enumerate(zip(np.split(out, bounds), np.split(rows, bounds))):
         np.testing.assert_array_equal(part, assign_categories(prob, budget[u], stream(seed, "unit", u)))
@@ -283,6 +328,8 @@ def test_constant_one_hot_rows_fill_each_unit_from_its_budget():
     budget = np.stack([sizes - 2 * (sizes // 3), sizes // 3, sizes // 3], axis=1)
     rows = np.tile([1.0, 0.0, 0.0], (int(sizes.sum()), 1))
     out = assign_categories(rows, budget, [stream(9, "unit", u) for u in range(len(sizes))])
+    loop = assign_one_row_at_a_time(rows, budget, [stream(9, "unit", u) for u in range(len(sizes))])
+    np.testing.assert_array_equal(out, loop)
     for u, part in enumerate(np.split(out, np.cumsum(sizes)[:-1])):
         np.testing.assert_array_equal(part, assign_categories(rows[: sizes[u]], budget[u], stream(9, "unit", u)))
         np.testing.assert_array_equal(np.bincount(part, minlength=3), budget[u])
@@ -344,7 +391,7 @@ def _mixed_mass_units():
 
 
 # sha256 of the int64 classes assigned to _mixed_mass_units under stream(11, "mixed", u)
-MIXED_MASS_DIGEST = "049fa2683894fab28d83d64eb4b35ecff1b2124a9bbe3ecd750bb6c7249437d9"
+MIXED_MASS_DIGEST = "834b64c3b915f25c82c457a05bd037ce2b649e09b54849041f4a0fadccb31189"
 
 
 def test_assign_mixed_mass_units_are_pinned():
@@ -352,6 +399,8 @@ def test_assign_mixed_mass_units_are_pinned():
     assert np.all(budget.sum(axis=1) == sizes)
     out = assign_categories(rows, budget, [stream(11, "mixed", u) for u in range(len(sizes))])
     assert hashlib.sha256(out.astype("<i8").tobytes()).hexdigest() == MIXED_MASS_DIGEST
+    loop = assign_one_row_at_a_time(rows, budget, [stream(11, "mixed", u) for u in range(len(sizes))])
+    np.testing.assert_array_equal(out, loop)
     bounds = np.cumsum(sizes)[:-1]
     for u, (part, prob) in enumerate(zip(np.split(out, bounds), np.split(rows, bounds))):
         np.testing.assert_array_equal(part, assign_categories(prob, budget[u], stream(11, "mixed", u)))

@@ -75,6 +75,19 @@ def test_empty_core_batch_rejected():
         parse_schema([{"name": "a", "kind": "categorical", "classes": ["x", "y"], "batch": 1, "core": False}])
 
 
+@pytest.mark.parametrize("field, value", [
+    ("batch", "one"), ("batch", None), ("batch", 0.9), ("batch", True),
+    ("core", "true"), ("core", 1), ("ordinal", "false"), ("ordinal", None),
+    ("classes", 5), ("classes", "xy"),
+])
+def test_a_field_of_the_wrong_json_type_is_named(tmp_path, field, value):
+    feature = {"name": "a", "kind": "categorical", "classes": ["x", "y"], "batch": 0, "core": True, field: value}
+    what = {"batch": "an integer", "core": "a boolean", "ordinal": "a boolean", "classes": "an array"}[field]
+    with pytest.raises(SchemaError) as exc:
+        load_schema(write_schema(tmp_path, [feature]))
+    assert str(exc.value) == f"load_schema: feature 'a' has {field!r} {value!r}, which is not {what}"
+
+
 def test_parse_failure(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("not json {")

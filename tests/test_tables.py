@@ -141,7 +141,29 @@ def test_aggregate_counts_each_unit_as_its_own_bincount():
     for block, unit in zip(blocks, coarse.units):
         assert unit.population == block.size
         np.testing.assert_array_equal(unit.values["g"], np.bincount(block.columns["g"], minlength=3) / block.size)
-        assert unit.values["x"] == float(np.mean(block.columns["x"]))
+        np.testing.assert_allclose(unit.values["x"], np.mean(block.columns["x"]), rtol=1e-15, atol=0.0)
+
+
+def test_aggregate_means_are_the_per_unit_means():
+    # one segmented sum per feature: the last bit may differ from np.mean's pairwise sum, no more
+    rng = np.random.default_rng(12)
+    sizes = rng.integers(1, 200, 1000)
+    x = rng.lognormal(0.0, 2.0, int(sizes.sum()))
+    table = IndividualTable([f"u{i}" for i in range(sizes.size)], sizes, {"x": x})
+    schemas = make_schemas([("x", None, 0)])
+    means = aggregate(table, schemas).matrix(schemas)[:, 0]
+    expected = [np.mean(part) for part in np.split(x, np.cumsum(sizes)[:-1])]
+    np.testing.assert_allclose(means, expected, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("empty", [0, 1, 2])
+def test_aggregate_names_a_unit_with_no_rows(empty):
+    sizes = [2, 3, 1]
+    sizes[empty] = 0
+    table = IndividualTable(["A", "B", "C"], sizes, {"g": np.zeros(sum(sizes), dtype=np.int64),
+                                                    "x": np.ones(sum(sizes))})
+    with pytest.raises(DataError, match=rf"^aggregate: unit '{'ABC'[empty]}' has no rows$"):
+        aggregate(table, make_schemas([("g", 2, 0), ("x", None, 0)]))
 
 
 @pytest.mark.parametrize("index", [-1, 2])
@@ -349,24 +371,29 @@ INDIVIDUAL_SCHEMA = make_schemas([("a", 3, 0), ("x", None, 0)])
 INDIVIDUAL_CSV = "unit_id,person_index,a,x\nB,1,a_c2,0.5\nA,0,a_c0,1.25\nB,0,a_c1,2.0\n"
 
 
+def _third_line(change):
+    return lambda lines: [*lines[:2], change(lines[2]), *lines[3:]]
+
+
 @pytest.mark.parametrize("loader, text, schemas", [
     (load_coarse_csv, FAULT_CSV, FAULT_SCHEMA),
     (load_individual_csv, INDIVIDUAL_CSV, INDIVIDUAL_SCHEMA),
 ], ids=["coarse", "individual"])
-@pytest.mark.parametrize("edit, cells", [
-    (lambda line: line.rsplit(",", 1)[0], "has {n_minus} cells"),
-    (lambda line: line + ",7", "has {n_plus} cells"),
-    (lambda line: line + ",", "has {n_plus} cells"),
-], ids=["short", "long", "trailing-comma"])
-def test_row_of_the_wrong_length_names_file_and_line(tmp_path, loader, text, schemas, edit, cells):
+@pytest.mark.parametrize("edit, fault", [
+    (_third_line(lambda line: line.rsplit(",", 1)[0]), "line 3 has {n_minus} cells, the header has {width}"),
+    (_third_line(lambda line: line + ",7"), "line 3 has {n_plus} cells, the header has {width}"),
+    (_third_line(lambda line: line + ","), "line 3 has {n_plus} cells, the header has {width}"),
+    # a second 'x' column, whose cells the loaders once took over the first's
+    (lambda lines: [lines[0] + ",x"] + [line + ",7" for line in lines[1:]], "names column 'x' more than once"),
+], ids=["short", "long", "trailing-comma", "repeated-column"])
+def test_row_of_the_wrong_length_names_file_and_line(tmp_path, loader, text, schemas, edit, fault):
     lines = text.splitlines()
     width = len(lines[0].split(","))
-    lines[2] = edit(lines[2])
-    path = write(tmp_path, "\n".join(lines) + "\n")
+    path = write(tmp_path, "\n".join(edit(lines)) + "\n")
     with pytest.raises(DataError) as exc:
         loader(path, schemas)
-    expected = cells.format(n_minus=width - 1, n_plus=width + 1)
-    assert str(exc.value) == f"{loader.__name__}: {path} line 3 {expected}, the header has {width}"
+    expected = fault.format(n_minus=width - 1, n_plus=width + 1, width=width)
+    assert str(exc.value) == f"{loader.__name__}: {path} {expected}"
 
 
 @pytest.mark.parametrize("loader, text, schemas", [
