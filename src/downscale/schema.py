@@ -31,8 +31,11 @@ class FeatureSchema:
     kind: str
     classes: tuple[str, ...] = ()
     batch: int = 0
-    core: bool = True
     ordinal: bool = False
+
+    @property
+    def core(self) -> bool:
+        return self.batch == 0
 
     @property
     def n_classes(self) -> int:
@@ -92,10 +95,6 @@ def validate_schemas(schemas: list[FeatureSchema]) -> None:
             raise SchemaError(f"load_schema: continuous feature {sc.name!r} must not declare classes")
         if sc.batch < 0:
             raise SchemaError(f"load_schema: feature {sc.name!r} has negative batch id")
-        if sc.core != (sc.batch == 0):
-            raise SchemaError(
-                f"load_schema: feature {sc.name!r} core flag must match batch 0 membership"
-            )
     batch_ids = sorted({sc.batch for sc in schemas})
     if 0 not in batch_ids:
         raise SchemaError("load_schema: empty core batch (no feature with batch 0)")
@@ -110,8 +109,8 @@ def load_schema(path: str | Path) -> list[FeatureSchema]:
 
     The file is a JSON array of objects with keys ``name``, ``kind``
     ("categorical" | "continuous"), ``classes`` (categorical only),
-    ``batch`` (int, default 0), ``core`` (bool, default batch == 0) and
-    optional ``ordinal`` (bool, used by matching for banded variables).
+    ``batch`` (int, default 0), optional ``core`` (bool, must equal batch == 0)
+    and optional ``ordinal`` (bool, used by matching for banded variables).
     """
     path = Path(path)
     if not path.exists():
@@ -123,8 +122,10 @@ def load_schema(path: str | Path) -> list[FeatureSchema]:
     return parse_schema(raw)
 
 
-# optional fields and the JSON types they take (a JSON true is not an integer)
+# fields and the JSON types they take (a JSON true is not an integer)
 _FIELD_TYPES = {
+    "name": ("a string", lambda v: type(v) is str),
+    "kind": ("a string", lambda v: type(v) is str),
     "batch": ("an integer", lambda v: type(v) is int),
     "core": ("a boolean", lambda v: type(v) is bool),
     "ordinal": ("a boolean", lambda v: type(v) is bool),
@@ -144,17 +145,15 @@ def parse_schema(raw) -> list[FeatureSchema]:
             if field in entry and not fits(entry[field]):
                 raise SchemaError(f"load_schema: feature {entry['name']!r} has {field!r} {entry[field]!r}, "
                                   f"which is not {what}")
-        batch = entry.get("batch", 0)
-        schemas.append(
-            FeatureSchema(
-                name=str(entry["name"]),
-                kind=str(entry["kind"]),
-                classes=tuple(str(c) for c in entry.get("classes", ())),
-                batch=batch,
-                core=entry.get("core", batch == 0),
-                ordinal=entry.get("ordinal", False),
-            )
-        )
+        for label in entry.get("classes", ()):
+            if type(label) is not str:
+                raise SchemaError(f"load_schema: feature {entry['name']!r} has class label {label!r}, "
+                                  f"which is not a string")
+        sc = FeatureSchema(entry["name"], entry["kind"], tuple(entry.get("classes", ())),
+                           batch=entry.get("batch", 0), ordinal=entry.get("ordinal", False))
+        if entry.get("core", sc.core) != sc.core:
+            raise SchemaError(f"load_schema: feature {sc.name!r} core flag must match batch 0 membership")
+        schemas.append(sc)
     validate_schemas(schemas)
     return schemas
 

@@ -90,8 +90,8 @@ class UnitBlock:
     Continuous columns are 1-D float arrays.  A block read from a CSV keeps
     its rows' ascending ``person_index`` values; a generated block numbers
     its rows 0..size-1.  The blocks of an ``IndividualTable`` are views
-    built on the table's first read of them: their ``columns`` mapping is
-    read-only and holds slices of the table's arrays.
+    built on the table's first read of them after its last write: their
+    ``columns`` mapping is read-only and holds slices of the table's arrays.
     """
 
     unit_id: str
@@ -108,9 +108,10 @@ class IndividualTable:
     """Individuals of every unit in ``unit_ids`` order, ``sizes`` rows each; each
     feature is stored once as one array over all rows, which ``column(name)`` returns.
 
-    ``blocks`` and ``block(unit_id)`` give per-unit views, built on the first read
-    and then kept: an element written through a view reaches the table, but a
-    view's ``columns`` cannot be reassigned.  ``set_column`` is the only writer.
+    ``blocks`` and ``block(unit_id)`` give per-unit views, built on the first read and dropped
+    by ``set_column``, the only writer.  A view keeps the arrays it was built from: an element
+    written through it reaches the table until that feature is set again.  Its ``columns`` cannot
+    be reassigned.
     """
 
     def __init__(self, unit_ids: list[str], sizes, columns: Mapping[str, np.ndarray], person_index=None):
@@ -123,16 +124,13 @@ class IndividualTable:
         if self.sizes.shape != (len(self.unit_ids),):
             raise DataError(f"IndividualTable: {self.sizes.size} sizes for {len(self.unit_ids)} units")
         self.sizes.flags.writeable = False
-        ends = np.cumsum(self.sizes)
-        self._bounds = list(zip((ends - self.sizes).tolist(), ends.tolist()))
-        total = int(ends[-1]) if ends.size else 0
+        total = int(self.sizes.sum())
         if person_index is None:  # each unit's rows 0..size-1
-            person_index = np.arange(total) - np.repeat(ends - self.sizes, self.sizes)
+            person_index = np.arange(total) - np.repeat(np.cumsum(self.sizes) - self.sizes, self.sizes)
         self.person_index = np.asarray(person_index, dtype=np.int64)
         if self.person_index.shape != (total,):
             raise DataError(f"IndividualTable: person_index has shape {self.person_index.shape} for {total} rows")
         self._columns: dict[str, np.ndarray] = {}
-        self._views: list[dict[str, np.ndarray]] = []  # the blocks' column dicts, empty until built
         for name, values in columns.items():
             self.set_column(name, values)
 
@@ -141,11 +139,14 @@ class IndividualTable:
 
     @cached_property
     def blocks(self) -> list[UnitBlock]:
-        self._views = [{} for _ in self.unit_ids]
-        for name, values in list(self._columns.items()):
-            self.set_column(name, values)
-        return [UnitBlock(unit_id, n, MappingProxyType(view), index) for unit_id, n, view, index in
-                zip(self.unit_ids, self.sizes.tolist(), self._views, self.split(self.person_index))]
+        ends = np.cumsum(self.sizes).tolist()
+        bounds = list(zip([0, *ends], ends))
+        views = [{} for _ in bounds]
+        for name, values in self._columns.items():  # feature by feature: faster than a dict per unit
+            for view, (start, end) in zip(views, bounds):
+                view[name] = values[start:end]
+        return [UnitBlock(unit_id, end - start, MappingProxyType(view), self.person_index[start:end])
+                for unit_id, view, (start, end) in zip(self.unit_ids, views, bounds)]
 
     def block(self, unit_id: str) -> UnitBlock:
         return self.blocks[self._rows[unit_id]]
@@ -157,18 +158,13 @@ class IndividualTable:
         """A feature's cells over all rows in block order: the stored array, not a copy."""
         return self._columns[name]
 
-    def split(self, values: np.ndarray) -> list[np.ndarray]:
-        """Cut an array stacked over all rows, in block order, into per-block views."""
-        return [values[start:end] for start, end in self._bounds]
-
     def set_column(self, name: str, values: np.ndarray) -> None:
         """Store ``values``, a feature stacked over all rows in block order, as the
-        table's copy of it; every block's view, once built, then shows its rows of ``values``."""
+        table's copy of it, and drop the blocks built so far."""
         if len(values) != self.total_rows():
             raise DataError(f"set_column: {len(values)} values of {name!r} for {self.total_rows()} rows")
         self._columns[name] = values
-        for view, (start, end) in zip(self._views, self._bounds):
-            view[name] = values[start:end]
+        self.__dict__.pop("blocks", None)
 
     def is_finalized(self, schemas: list[FeatureSchema]) -> bool:
         return not self.unit_ids or all(

@@ -13,10 +13,10 @@ def make_schemas(spec):
     out = []
     for name, n_classes, batch in spec:
         if n_classes is None:
-            out.append(FeatureSchema(name, "continuous", (), batch, batch == 0))
+            out.append(FeatureSchema(name, "continuous", (), batch))
         else:
             classes = tuple(f"{name}_c{i}" for i in range(n_classes))
-            out.append(FeatureSchema(name, "categorical", classes, batch, batch == 0))
+            out.append(FeatureSchema(name, "categorical", classes, batch))
     return out
 
 

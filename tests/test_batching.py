@@ -354,10 +354,14 @@ def test_extend_attaches_and_preserves_core():
         "t": fit_predictor(k_table, core, schemas[1], rngf.stream("pred", "t")),
         "y": fit_predictor(k_table, core, schemas[2], rngf.stream("pred", "y")),
     }
-    core_arrays = [b.columns["a"] for b in table.blocks]
+    core_column = table.column("a")
+    before = core_column.copy()
     extend_with_batch(table, core, batches[0], preds, "distribution")
-    for b, arr in zip(table.blocks, core_arrays):
-        assert b.columns["a"] is arr  # untouched, same buffer
+    assert table.column("a") is core_column  # untouched, same buffer
+    np.testing.assert_array_equal(core_column, before)
+    for b, start in zip(table.blocks, range(0, 150, 10)):
+        assert np.shares_memory(b.columns["a"], core_column)
+        np.testing.assert_array_equal(b.columns["a"], core_column[start:start + 10])
         assert b.columns["t"].shape == (10, 3)
         assert b.columns["y"].shape == (10,)
 

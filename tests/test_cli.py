@@ -11,6 +11,7 @@ import pytest
 import downscale
 from downscale import load_individual_csv, parse_schema, write_coarse_csv
 from downscale.cli import main
+from downscale.evaluation import align_rows, cell_accuracy, report_rows
 from conftest import make_coarse
 
 SCHEMA_DOC = [
@@ -597,3 +598,45 @@ def test_supplied_predictors_must_fit_the_batch_features(fixture_paths, capsys, 
     assert code == 1
     assert capsys.readouterr().err.strip().splitlines() == [f"error: phase2/copula: generate: {expected}"]
     assert not out.exists()
+
+
+def test_evaluate_sort_keys_sets_the_pairing_key(fixture_paths):
+    tmp_path, schema_path, coarse_path, schemas = fixture_paths
+    _, truth = run_generate(tmp_path, schema_path, coarse_path, "truth.csv")
+    generated = tmp_path / "gen.csv"
+    assert main(["generate", "--coarse", str(coarse_path), "--schema", str(schema_path),
+                 "--out", str(generated), "--seed", "12"]) == 0
+    report = tmp_path / "report.csv"
+    assert main(["evaluate", "--schema", str(schema_path), "--truth", str(truth), "--generated", str(generated),
+                 "--sort-keys", "online,spend", "--out", str(report)]) == 0
+    pairs = align_rows(load_individual_csv(truth, schemas), load_individual_csv(generated, schemas), schemas,
+                       ["online", "spend"])
+    expected = [["metric", "value"]] + [[m, str(v)] for m, v in report_rows(cell_accuracy(pairs, schemas))]
+    assert list(csv.reader(io.StringIO(report.read_text()))) == expected
+    default = tmp_path / "default.csv"
+    assert main(["evaluate", "--schema", str(schema_path), "--truth", str(truth), "--generated", str(generated),
+                 "--out", str(default)]) == 0
+    assert default.read_bytes() != report.read_bytes()  # the core key, age then spend, pairs other rows
+
+
+def test_evaluate_unknown_sort_key_is_one_error_line(fixture_paths, capsys):
+    tmp_path, schema_path, coarse_path, _ = fixture_paths
+    _, out = run_generate(tmp_path, schema_path, coarse_path, "gen.csv")
+    capsys.readouterr()
+    code = main(["evaluate", "--schema", str(schema_path), "--truth", str(out), "--generated", str(out),
+                 "--sort-keys", "age,height"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: align_rows: unknown sort features ['height']\n"
+
+
+def test_outlier_removal_off_writes_the_rows_of_contamination_zero(fixture_paths):
+    tmp_path, schema_path, coarse_path, _ = fixture_paths
+    _, off = run_generate(tmp_path, schema_path, coarse_path, "off.csv", extra=["--outlier-removal", "off"])
+    _, zero = run_generate(tmp_path, schema_path, coarse_path, "zero.csv", extra=["--contamination", "0"])
+    assert off.read_bytes() == zero.read_bytes()
+    m_off = json.loads((tmp_path / "off.csv.manifest.json").read_text())
+    m_zero = json.loads((tmp_path / "zero.csv.manifest.json").read_text())
+    assert (m_off["outlier_removal"], m_zero["outlier_removal"]) == (False, True)
+    assert m_off["contamination"] != m_zero["contamination"] == 0.0
+    differ = {key for key in m_off.keys() | m_zero.keys() if m_off.get(key) != m_zero.get(key)}
+    assert differ == {"outlier_removal", "contamination"}

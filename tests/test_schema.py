@@ -3,7 +3,7 @@ import json
 import pytest
 
 from downscale import SchemaError, load_schema, parse_schema
-from downscale.schema import coordinates, schema_to_json
+from downscale.schema import FeatureSchema, coordinates, schema_to_json
 
 
 def write_schema(tmp_path, doc):
@@ -78,11 +78,12 @@ def test_empty_core_batch_rejected():
 @pytest.mark.parametrize("field, value", [
     ("batch", "one"), ("batch", None), ("batch", 0.9), ("batch", True),
     ("core", "true"), ("core", 1), ("ordinal", "false"), ("ordinal", None),
-    ("classes", 5), ("classes", "xy"),
+    ("classes", 5), ("classes", "xy"), ("kind", None), ("kind", ["continuous"]),
 ])
 def test_a_field_of_the_wrong_json_type_is_named(tmp_path, field, value):
     feature = {"name": "a", "kind": "categorical", "classes": ["x", "y"], "batch": 0, "core": True, field: value}
-    what = {"batch": "an integer", "core": "a boolean", "ordinal": "a boolean", "classes": "an array"}[field]
+    what = {"batch": "an integer", "core": "a boolean", "ordinal": "a boolean", "classes": "an array",
+            "kind": "a string"}[field]
     with pytest.raises(SchemaError) as exc:
         load_schema(write_schema(tmp_path, [feature]))
     assert str(exc.value) == f"load_schema: feature 'a' has {field!r} {value!r}, which is not {what}"
@@ -111,3 +112,25 @@ def test_coordinates_order():
 def test_schema_json_round_trip():
     schemas = parse_schema(SURVEY)
     assert parse_schema(schema_to_json(schemas)) == schemas
+
+
+@pytest.mark.parametrize("feature, expected", [
+    ({"name": None, "kind": "continuous"}, "feature None has 'name' None, which is not a string"),
+    ({"name": 7, "kind": "continuous"}, "feature 7 has 'name' 7, which is not a string"),
+    ({"name": "a", "kind": "categorical", "classes": [1, True]},
+     "feature 'a' has class label 1, which is not a string"),
+    ({"name": "a", "kind": "categorical", "classes": ["x", None]},
+     "feature 'a' has class label None, which is not a string"),
+], ids=["null-name", "number-name", "number-label", "null-label"])
+def test_a_name_or_class_label_that_is_not_a_string_is_named(tmp_path, feature, expected):
+    with pytest.raises(SchemaError) as exc:
+        load_schema(write_schema(tmp_path, [feature]))
+    assert str(exc.value) == f"load_schema: {expected}"
+
+
+def test_core_follows_batch_and_a_python_built_batch_feature_round_trips():
+    schemas = [FeatureSchema("a", "categorical", ("x", "y")), FeatureSchema("b", "categorical", ("p", "q"), batch=1)]
+    assert schemas[0].core and not schemas[1].core
+    doc = schema_to_json(schemas)
+    assert [entry["core"] for entry in doc] == [True, False]
+    assert parse_schema(json.loads(json.dumps(doc))) == schemas

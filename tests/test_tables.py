@@ -563,6 +563,22 @@ def test_each_feature_is_stored_once():
     assert type(blocks[0].columns) is dict and not np.shares_memory(blocks[0].columns["x"], table.column("x"))
 
 
+def test_a_write_drops_the_views_built_before_it():
+    _, table = _two_unit_table()
+    before = table.blocks
+    assert table.blocks is before  # no write between two reads: the same list
+    table.set_column("x", np.array([9.0, 8.0, 7.0, 6.0, 5.0]))
+    after = table.blocks
+    assert after is not before and table.blocks is after
+    np.testing.assert_array_equal(after[1].columns["x"], [7.0, 6.0, 5.0])
+    assert all(np.shares_memory(b.columns["x"], table.column("x")) for b in after)
+    # a view read before the write keeps the arrays it was built from
+    np.testing.assert_array_equal(before[1].columns["x"], [3.0, 4.0, 5.0])
+    before[1].columns["a"][0] = 1  # and an element written through it still reaches the table
+    np.testing.assert_array_equal(table.column("a"), [0, 1, 1, 2, 0])
+    np.testing.assert_array_equal(after[1].columns["a"], [1, 2, 0])
+
+
 def test_a_table_pickles_with_its_views():
     _, table = _two_unit_table()
     back = pickle.loads(pickle.dumps(table))
