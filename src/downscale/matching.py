@@ -5,11 +5,13 @@ matched within its aggregation unit by a weighted per-attribute distance:
 nominal categorical attributes cost 0/1, ordinal ones (banded variables
 whose classes are declared in order) cost the normalized class-index
 difference, and continuous ones the absolute difference over the pooled
-standard deviation.
+standard deviation.  The pool caches that deviation (``pooled_sd``), so it is
+computed once per write of the feature, not once per query.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,8 +45,8 @@ def probabilistic_match(
     distances are scaled by the feature's standard deviation over the whole
     pool; a zero deviation falls back to the raw absolute difference.
     """
-    if k < 1:
-        raise DataError(f"probabilistic_match: k must be >= 1, got {k}")
+    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1:
+        raise DataError(f"probabilistic_match: k must be an integer >= 1, got {k!r}")
     if not query.attributes:
         raise DataError("probabilistic_match: query declares no known attributes")
     by_name = {sc.name: sc for sc in schemas}
@@ -54,7 +56,7 @@ def probabilistic_match(
     for f, w in query.weights.items():
         if f not in by_name:
             raise DataError(f"probabilistic_match: weight for unknown feature {f!r}")
-        if _number(w, f"weight for {f!r}") < 0:
+        if _finite(w, f"weight for {f!r}") < 0:
             raise DataError(f"probabilistic_match: negative weight for {f!r}")
     try:
         block = pool.block(query.unit_id)
@@ -76,8 +78,8 @@ def probabilistic_match(
             else:
                 d = (col != q_idx).astype(float)
         else:
-            delta = np.abs(col - _number(value, f"value for {name!r}"))
-            sd = float(pool.column(name).std())
+            delta = np.abs(col - _finite(value, f"value for {name!r}"))
+            sd = pool.pooled_sd(name)
             d = delta / sd if sd > 0 else delta
         distance += weight * d
 
@@ -93,9 +95,12 @@ def probabilistic_match(
             for rank, idx in enumerate(top)]
 
 
-def _number(value, what: str) -> float:
+def _finite(value, what: str) -> float:
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError):
         raise DataError(f"probabilistic_match: {what} is not a number: {value!r}") from None
+    if not math.isfinite(number):
+        raise DataError(f"probabilistic_match: {what} is not finite: {value!r}")
+    return number
 

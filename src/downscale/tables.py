@@ -91,7 +91,8 @@ class UnitBlock:
     its rows' ascending ``person_index`` values; a generated block numbers
     its rows 0..size-1.  The blocks of an ``IndividualTable`` are views
     built on the table's first read of them after its last write: their
-    ``columns`` mapping is read-only and holds slices of the table's arrays.
+    ``columns`` mapping and the slices of the table's arrays it holds are
+    read-only, as is their ``person_index``.
     """
 
     unit_id: str
@@ -106,12 +107,13 @@ class UnitBlock:
 
 class IndividualTable:
     """Individuals of every unit in ``unit_ids`` order, ``sizes`` rows each; each
-    feature is stored once as one array over all rows, which ``column(name)`` returns.
+    feature is stored once as one read-only array over all rows, which ``column(name)``
+    returns, and ``person_index`` is read-only too.
 
-    ``blocks`` and ``block(unit_id)`` give per-unit views, built on the first read and dropped
-    by ``set_column``, the only writer.  A view keeps the arrays it was built from: an element
-    written through it reaches the table until that feature is set again.  Its ``columns`` cannot
-    be reassigned.
+    ``set_column`` is the only writer.  It drops the per-unit views of ``blocks`` and
+    ``block(unit_id)``, built on the first read, and the feature's ``pooled_sd``, computed
+    on the first read.  A view keeps the arrays it was built from, and nothing can be
+    written through it.
     """
 
     def __init__(self, unit_ids: list[str], sizes, columns: Mapping[str, np.ndarray], person_index=None):
@@ -130,11 +132,15 @@ class IndividualTable:
         self.person_index = np.asarray(person_index, dtype=np.int64)
         if self.person_index.shape != (total,):
             raise DataError(f"IndividualTable: person_index has shape {self.person_index.shape} for {total} rows")
+        self.person_index.flags.writeable = False
         self._columns: dict[str, np.ndarray] = {}
+        self._sd: dict[str, float] = {}
         for name, values in columns.items():
             self.set_column(name, values)
 
-    def __reduce__(self):  # pickled as columns: the views' MappingProxyTypes do not pickle
+    def __reduce__(self):
+        # unpickled through the constructor, so the arrays come back read-only and without
+        # the views (their MappingProxyTypes do not pickle) or the pooled sds
         return IndividualTable, (self.unit_ids, self.sizes, self._columns, self.person_index)
 
     @cached_property
@@ -158,12 +164,22 @@ class IndividualTable:
         """A feature's cells over all rows in block order: the stored array, not a copy."""
         return self._columns[name]
 
+    def pooled_sd(self, name: str) -> float:
+        """The standard deviation of a feature's cells over all rows, computed on the
+        first read after the feature was set."""
+        if name not in self._sd:
+            self._sd[name] = float(self._columns[name].std())
+        return self._sd[name]
+
     def set_column(self, name: str, values: np.ndarray) -> None:
-        """Store ``values``, a feature stacked over all rows in block order, as the
-        table's copy of it, and drop the blocks built so far."""
+        """Store ``values``, a feature stacked over all rows in block order, without
+        copying it, and mark it read-only; drop the blocks built so far and the
+        feature's pooled sd."""
         if len(values) != self.total_rows():
             raise DataError(f"set_column: {len(values)} values of {name!r} for {self.total_rows()} rows")
+        values.flags.writeable = False
         self._columns[name] = values
+        self._sd.pop(name, None)
         self.__dict__.pop("blocks", None)
 
     def is_finalized(self, schemas: list[FeatureSchema]) -> bool:
@@ -241,10 +257,10 @@ def load_coarse_csv(path: str | Path, schemas: list[FeatureSchema]) -> CoarseTab
     return CoarseTable(unit_ids, populations, values)
 
 
-def _reject(bad: np.ndarray, message) -> None:
-    """Raise for the first unit flagged in ``bad``; ``message(i)`` describes unit i's fault."""
+def _reject(bad: np.ndarray, message, where: str = "load_coarse_csv") -> None:
+    """Raise for the first row flagged in ``bad``; ``message(i)`` describes row i's fault."""
     if bad.any():
-        raise DataError(f"load_coarse_csv: {message(int(np.argmax(bad)))}")
+        raise DataError(f"{where}: {message(int(np.argmax(bad)))}")
 
 
 def _read_csv(path: str | Path, where: str) -> tuple[dict[str, int], list[tuple[str, ...]]]:
@@ -356,9 +372,10 @@ def load_individual_csv(path: str | Path, schemas: list[FeatureSchema]) -> Indiv
     """Read a finalized individual table written by write_individual_csv.
 
     Units keep the order of their first row in the file; a unit's rows are
-    sorted by ``person_index``.  A cell that does not parse, an unknown
-    class label, or a ``person_index`` repeated within a unit raises
-    ``DataError`` naming the file, the column and the value.
+    sorted by ``person_index``.  A cell that does not parse, a continuous
+    cell that is not a finite nonnegative real, an unknown class label, or a
+    ``person_index`` repeated within a unit raises ``DataError`` naming the
+    file, the column and the value.
     """
     position, columns = _read_csv(path, "load_individual_csv")
     for col in ["unit_id", "person_index"] + [sc.name for sc in schemas]:
@@ -396,5 +413,7 @@ def load_individual_csv(path: str | Path, schemas: list[FeatureSchema]) -> Indiv
                                 f"in unit {unit_col[texts.index(label)]!r}") from None
         else:
             col = np.array(_parse_column(float, texts, sc.name, where, unit_col), dtype=float)
+            _reject(~np.isfinite(col) | (col < 0.0), lambda i: f"bad value {texts[i]!r} in column {sc.name!r}, "
+                    f"unit {unit_col[i]!r}: not a finite nonnegative real", where)
         cells[sc.name] = col[order]
     return IndividualTable(unit_ids, np.bincount(codes), cells, person_index)

@@ -425,6 +425,20 @@ def test_unknown_class_names_file_and_unit(tmp_path):
     assert str(exc.value) == f"load_individual_csv: {path}: unknown class 'robot' for feature 'a' in unit 'B'"
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "-3.0", "NaN", "-1e-300"])
+def test_continuous_cell_that_is_not_a_finite_nonnegative_real_names_file_column_and_unit(tmp_path, cell):
+    path = write(tmp_path, INDIVIDUAL_CSV.replace("2.0", cell))
+    with pytest.raises(DataError) as exc:
+        load_individual_csv(path, INDIVIDUAL_SCHEMA)
+    assert str(exc.value) == (f"load_individual_csv: {path}: bad value {cell!r} in column 'x', unit 'B': "
+                              "not a finite nonnegative real")
+
+
+def test_zero_continuous_cells_load(tmp_path):
+    path = write(tmp_path, INDIVIDUAL_CSV.replace("2.0", "0.0").replace("0.5", "-0.0"))
+    np.testing.assert_array_equal(load_individual_csv(path, INDIVIDUAL_SCHEMA).block("B").columns["x"], [0.0, 0.0])
+
+
 def test_duplicate_person_index_message(tmp_path):
     text = INDIVIDUAL_CSV + "A,3,a_c0,1.0\nB,1,a_c0,1.0\nA,3,a_c1,1.0\nB,0,a_c0,1.0\n"
     path = write(tmp_path, text)
@@ -541,6 +555,19 @@ def _two_unit_table():
     return blocks, stack_blocks(blocks)
 
 
+def _assert_read_only(table):
+    """Nothing can be written into the table's arrays: not through a view, ``column`` or ``person_index``."""
+    before = {name: table.column(name).copy() for name in ("a", "x")}
+    index = table.person_index.copy()
+    for array in (table.block("B").columns["a"], table.block("B").columns["x"], table.block("B").person_index,
+                  table.column("a"), table.column("x"), table.person_index):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+    for name, values in before.items():
+        np.testing.assert_array_equal(table.column(name), values, strict=True)
+    np.testing.assert_array_equal(table.person_index, index, strict=True)
+
+
 def test_each_feature_is_stored_once():
     blocks, table = _two_unit_table()
     for name in ("a", "x"):
@@ -549,8 +576,7 @@ def test_each_feature_is_stored_once():
     np.testing.assert_array_equal(table.person_index, [0, 1, 4, 7, 9])
     np.testing.assert_array_equal(table.block("B").person_index, [4, 7, 9])
     assert table.blocks is table.blocks and table.block("B") is table.blocks[1]
-    table.block("B").columns["a"][0] = 1  # an element written through a view reaches the table
-    np.testing.assert_array_equal(table.column("a"), [0, 1, 1, 2, 0])
+    _assert_read_only(table)
     table.set_column("x", np.array([9.0, 8.0, 7.0, 6.0, 5.0]))
     np.testing.assert_array_equal(table.block("B").columns["x"], [7.0, 6.0, 5.0])
     with pytest.raises(TypeError):
@@ -572,11 +598,14 @@ def test_a_write_drops_the_views_built_before_it():
     assert after is not before and table.blocks is after
     np.testing.assert_array_equal(after[1].columns["x"], [7.0, 6.0, 5.0])
     assert all(np.shares_memory(b.columns["x"], table.column("x")) for b in after)
-    # a view read before the write keeps the arrays it was built from
+    # a view read before the write keeps the arrays it was built from, and nothing can be written through it
     np.testing.assert_array_equal(before[1].columns["x"], [3.0, 4.0, 5.0])
-    before[1].columns["a"][0] = 1  # and an element written through it still reaches the table
-    np.testing.assert_array_equal(table.column("a"), [0, 1, 1, 2, 0])
-    np.testing.assert_array_equal(after[1].columns["a"], [1, 2, 0])
+    for array in (before[1].columns["a"], before[1].columns["x"], before[1].person_index):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+    np.testing.assert_array_equal(table.column("a"), [0, 1, 2, 2, 0])
+    np.testing.assert_array_equal(after[1].columns["a"], [2, 2, 0])
+    _assert_read_only(table)
 
 
 def test_a_table_pickles_with_its_views():
@@ -587,6 +616,22 @@ def test_a_table_pickles_with_its_views():
     for name in ("a", "x"):
         np.testing.assert_array_equal(back.column(name), table.column(name))
         assert all(np.shares_memory(b.columns[name], back.column(name)) for b in back.blocks)
+    _assert_read_only(back)
+
+
+def test_pooled_sd_is_the_columns_sd_until_the_feature_is_set_again():
+    _, table = _two_unit_table()
+    for name in ("a", "x"):
+        sd = table.pooled_sd(name)
+        assert type(sd) is float and sd == float(table.column(name).std())
+        assert table.pooled_sd(name) == sd
+    table.set_column("x", np.array([1.0, 1.0, 1.0, 1.0, 11.0]))
+    assert table.pooled_sd("x") == 4.0 == float(table.column("x").std())
+    assert table.pooled_sd("a") == float(table.column("a").std())  # another feature's sd is kept
+    # a pickled copy has its own sds: a write to it leaves the original's
+    back = pickle.loads(pickle.dumps(table))
+    back.set_column("x", np.zeros(5))
+    assert back.pooled_sd("x") == 0.0 and table.pooled_sd("x") == 4.0
 
 
 def test_empty_table():

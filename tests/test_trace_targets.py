@@ -1,14 +1,17 @@
 """The benchmark traces calls by patching ``(module, attribute)`` pairs; a
 refactor that drops one of those calls, or breaks a counter that reads its
 arguments or result, would only show as ``not traced`` or a layer reading 0
-in a benchmark run.  These tests make tier-1 catch it instead."""
+in a benchmark run.  These tests make tier-1 catch it instead, and catch a matcher
+that takes a pool's continuous standard deviations again on every query."""
 
 import importlib
 import importlib.util
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -81,3 +84,40 @@ def test_traced_toy_op_moves_every_counter(bench, capsys, workload):
         # phase 3 samples only the rows its predictors train on: the toy op caps them at 300 of its 637 people
         for name in ("sample_joint_batch", "fit_predictor"):
             assert metrics[f"batching.{name}.rows"] == 300 * metrics[f"batching.{name}.calls"]
+
+
+class CountsStd(np.ndarray):
+    """A column that counts the ``std`` calls made over it or any slice of it, by feature."""
+
+    calls = Counter()
+
+    def __array_finalize__(self, obj):
+        self.feature = getattr(obj, "feature", None)
+
+    def std(self, *args, **kwargs):
+        CountsStd.calls[self.feature] += 1
+        return super().std(*args, **kwargs)
+
+
+def test_resample_match_takes_each_continuous_sd_once_per_pool(bench, monkeypatch):
+    workloads = importlib.import_module("workloads")
+    load = workloads.load_individual_csv
+    pools = []
+
+    def load_counting(path, schemas):  # the op's pool, its continuous columns counting their std calls
+        pool = load(path, schemas)
+        for sc in schemas:
+            if not sc.is_categorical:
+                column = pool.column(sc.name).view(CountsStd)
+                column.feature = sc.name
+                pool.set_column(sc.name, column)
+        pools.append(pool)
+        return pool
+
+    monkeypatch.setattr(workloads, "load_individual_csv", load_counting)
+    monkeypatch.setattr(CountsStd, "calls", Counter())
+    result = bench.run_workload("resample-match", 5, 0.0, False, units=30)
+    assert result["correct"] and result["failed"] == 0 and result["attempted"] == 1
+    assert len(pools) == 1 and workloads.ResampleMatch.n_queries > 1
+    # hh_income and rent are the continuous query features: one sd each for the pool, not one per query
+    assert CountsStd.calls == Counter({"hh_income": 1, "rent": 1})
