@@ -34,8 +34,11 @@ _VAR_FLOOR = 1e-6
 _VAR_CEIL_FACTOR = 0.999
 # betaincinv may underflow degenerate draws to exactly 0; keep renormalization defined
 _PROB_FLOOR = 1e-12
-# a uniform below betainc(a, b, _PROB_FLOOR) shrunk by this factor has a quantile below the floor
+# a uniform below betainc(a, b, _PROB_FLOOR) shrunk by this factor has a quantile below the floor,
+# and one with 1 - u below betainc(b, a, _ONE_CUT) so shrunk a quantile above 1 - _ONE_CUT
 _FLOOR_CUT = 1.0 - 1e-6
+# a beta quantile above 1 - 2**-54 rounds to 1.0
+_ONE_CUT = 2.0**-54
 _U_CLIP = 1e-15
 
 BETA = "beta"
@@ -285,13 +288,19 @@ def fit_copula(
 
 def _floored_beta_quantile(a: np.ndarray, b: np.ndarray, u: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """max(betaincinv(a, b, u), 1e-12) for stacked uniforms ``u``, unit i's (a[i], b[i])
-    holding for its ``counts[i]`` rows.  A uniform below the unit's cut,
-    betainc(a, b, 1e-12) shrunk by 1e-6 relative, has its quantile below the floor and
-    takes the floor without the inverse; a NaN cut sends every row to the inverse."""
-    cut = np.repeat(betainc(a, b, _PROB_FLOOR) * _FLOOR_CUT, counts)
-    live = np.flatnonzero(~(u < cut))
+    holding for its ``counts[i]`` rows.  Two per-unit cuts, each its tail's mass shrunk by
+    1e-6 relative, skip the inverse where its result is known: a uniform below
+    betainc(a, b, 1e-12) has its quantile below the floor and takes the floor, and one with
+    1 - u below betainc(b, a, 2**-54) has its quantile within 2**-54 of 1 and takes 1.0.
+    A NaN cut sends its rows to the inverse; the cuts are taken only for units with rows."""
+    has = np.flatnonzero(counts)
+    a, b, counts = a[has], b[has], counts[has]
+    low = np.repeat(betainc(a, b, _PROB_FLOOR) * _FLOOR_CUT, counts)
+    high = np.repeat(betainc(b, a, _ONE_CUT) * _FLOOR_CUT, counts)
+    top = 1.0 - u < high
+    live = np.flatnonzero(~(u < low) & ~top)
     unit = np.repeat(np.arange(len(a)), counts)[live]
-    out = np.full(u.shape, _PROB_FLOOR)
+    out = np.where(top, 1.0, _PROB_FLOOR)
     out[live] = np.maximum(betaincinv(a[unit], b[unit], u[live]), _PROB_FLOOR)
     return out
 
@@ -305,7 +314,8 @@ def _draw_coordinates(model: CopulaModel, unit_ids: list[str], rng_for_unit, cou
     rows takes no stream.  Every row is F_d^{-1}(Phi(Z_d)), with the quantile
     maps applied across all units in one vectorized call per coordinate.
     Beta draws are floored at 1e-12 (``_floored_beta_quantile``), so the rows
-    whose uniform lies under the floor's CDF skip the costly inverse.
+    whose uniform lies under the floor's CDF, or whose quantile rounds to 1.0,
+    skip the costly inverse.
     """
     rows, factor = model.rows(unit_ids), model.correlation.cholesky_factor
     z = np.vstack([rng_for_unit(unit_id).standard_normal((n, len(factor)))

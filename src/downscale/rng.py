@@ -40,6 +40,15 @@ def draw_rows(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
 
     Rows need not be normalized; ``u`` supplies one uniform per row.
     """
-    cum = np.cumsum(probs, axis=1)
-    idx = np.sum(cum < (u * cum[:, -1])[:, None], axis=1)
-    return np.minimum(idx, probs.shape[1] - 1).astype(np.int64)
+    return draw_classes(np.array(np.asarray(probs, dtype=float).T, order="C"), u)
+
+
+def draw_classes(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``draw_rows`` for weights stored classes x rows, which it overwrites with their
+    running sums: taken class by class, these are the additions of a cumulative sum
+    along each row, in the same order, so every row draws the same class bit for bit.
+    """
+    for k in range(1, len(weights)):
+        weights[k] += weights[k - 1]
+    idx = np.count_nonzero(weights < u * weights[-1], axis=0)
+    return np.minimum(idx, len(weights) - 1).astype(np.int64)

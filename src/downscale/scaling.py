@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DataError
-from .rng import draw_rows
+from .rng import draw_classes
 
 _SNAP_TOL = 1e-9
 _MAX_SHIFT_PASSES = 5
@@ -53,9 +53,13 @@ def assign_categories(prob_rows: np.ndarray, budget: np.ndarray, rng) -> np.ndar
     first draw under the unit's mask as it stood at the round's start, and
     the unit keeps them through the first that takes a class's last seat:
     each kept row saw its exact mask, and the rows after it draw again next
-    round with the same uniforms.  A row with a positive entry in every
-    class keeps mass while its unit has rows pending, so only the rows
-    holding a zero are rechecked when their unit's mask changes.
+    round with the same uniforms.  A unit whose mask has one class left
+    gives it to all its pending rows without drawing, as the loop would with
+    any uniforms: the masked weights are one-hot, and so is the budget left.
+    A round draws class-major (``draw_classes``).  A row with a positive
+    entry in every class keeps mass while its unit has rows pending, so only
+    the pending rows holding a zero are rechecked when their unit's mask
+    changes.
     """
     prob_rows = np.asarray(prob_rows, dtype=float)
     n, c = prob_rows.shape
@@ -68,7 +72,7 @@ def assign_categories(prob_rows: np.ndarray, budget: np.ndarray, rng) -> np.ndar
         raise DataError(f"assign_categories: budget sums to {int(sizes.sum())}, expected {n}")
     if not np.all(np.isfinite(prob_rows)) or prob_rows.min(initial=0.0) < 0:
         raise DataError("assign_categories: probability rows must be finite and nonnegative")
-    # uniforms in (0, 1] and rows scaled to a largest weight of 1: draw_rows never picks a zero weight
+    # uniforms in (0, 1] and rows scaled to a largest weight of 1: a draw never picks a zero weight
     uniforms = 1.0 - np.concatenate([g.random(k) for g, k in zip(rngs, sizes.tolist())])
     code = np.repeat(np.arange(len(left)), sizes)
     ends = np.cumsum(sizes)
@@ -78,10 +82,20 @@ def assign_categories(prob_rows: np.ndarray, budget: np.ndarray, rng) -> np.ndar
     zero = np.zeros(n, dtype=bool)  # rows with no mass under their unit's mask
     next_zero = np.full(n + 2, n)  # the first zero-mass row at or after each row
     stale = np.ones(len(left), dtype=bool)  # units whose mask changed since their zero-mass rows were found
-    while np.any(start < ends):
+    while True:
         mask = left > 0
+        # a unit with one class left gives it to every pending row: each would draw it whatever its uniform
+        last = np.flatnonzero((np.count_nonzero(mask, axis=1) == 1) & (start < ends))
+        if last.size:
+            lengths = (ends - start)[last]
+            rows = np.repeat(start[last] - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
+            out[rows] = np.repeat(mask[last].argmax(axis=1), lengths)
+            left[last] = 0
+            start[last] = ends[last]
+        if not np.any(start < ends):
+            return out
         if stale.any():
-            rows = sparse[stale[code[sparse]]]
+            rows = sparse[stale[code[sparse]] & (sparse >= start[code[sparse]])]
             flags = ~((prob_rows[rows] * mask[code[rows]]).max(axis=1) > 0.0)
             if not np.array_equal(flags, zero[rows]):
                 zero[rows] = flags
@@ -93,18 +107,21 @@ def assign_categories(prob_rows: np.ndarray, budget: np.ndarray, rng) -> np.ndar
         rows = start[seg] + np.arange(seg.size) - first
         weights = prob_rows[rows] * mask[seg]
         weights[zero[rows]] = left[seg[zero[rows]]]
-        weights /= weights.max(axis=1, keepdims=True)
-        draws = draw_rows(weights, uniforms[rows])
-        # how often each row's class was drawn in its unit so far this round
-        tally = np.cumsum(np.eye(c, dtype=np.int64)[draws], axis=0)
-        drawn = tally[np.arange(rows.size), draws] - tally[first, draws] + (draws[first] == draws)
+        weights = weights.T.copy()  # classes x drawn rows
+        weights /= weights.max(axis=0)
+        draws = draw_classes(weights, uniforms[rows])
+        # how often each row's class was drawn in its unit so far this round: its rank in a stable sort
+        order = np.argsort(seg * c + draws, kind="stable")
+        key = (seg * c + draws)[order]
+        heads = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        drawn = np.empty(rows.size, dtype=np.int64)
+        drawn[order] = np.arange(1, rows.size + 1) - np.repeat(heads, np.diff(np.r_[heads, rows.size]))
         stops = np.cumsum(np.r_[0, drawn >= left[seg, draws]])  # a unit's own: minus stops[first]
         keep = stops[:-1] == stops[first]  # through the unit's first row to take a last seat
         out[rows[keep]] = draws[keep]
         left -= np.bincount(seg[keep] * c + draws[keep], minlength=left.size).reshape(left.shape)
         start += np.bincount(seg[keep], minlength=start.size)
         stale = np.any(mask != (left > 0), axis=1)
-    return out
 
 
 def shift_continuous(values: np.ndarray, target_mean, sizes=None) -> np.ndarray:

@@ -353,9 +353,28 @@ def aggregate(individuals: IndividualTable, schemas: list[FeatureSchema]) -> Coa
 
 
 def write_individual_csv(path: str | Path, table: IndividualTable, schemas: list[FeatureSchema]) -> None:
-    """Write a finalized individual table (class labels, float reprs)."""
+    """Write a finalized individual table (class labels, float reprs).
+
+    A cell ``load_individual_csv`` would reject, a class index outside [0, k) or a
+    continuous cell that is not a finite nonnegative real, raises ``DataError`` naming
+    the feature and the unit before the file is opened.
+    """
+    where = "write_individual_csv"
     if not table.is_finalized(schemas):
-        raise DataError("write_individual_csv: table contains unfinalized cells")
+        raise DataError(f"{where}: table contains unfinalized cells")
+    ends = np.cumsum(table.sizes)
+
+    def unit(i):
+        return table.unit_ids[int(np.searchsorted(ends, i, side="right"))]
+
+    for sc in schemas:
+        col = table.column(sc.name)
+        if sc.is_categorical:
+            _reject((col < 0) | (col >= sc.n_classes), lambda i: f"class index {col[i]} of {sc.name!r} outside "
+                    f"[0, {sc.n_classes}) in unit {unit(i)!r}", where)
+        else:
+            _reject(~np.isfinite(col) | (col < 0.0), lambda i: f"bad value {repr(float(col[i]))!r} in column "
+                    f"{sc.name!r}, unit {unit(i)!r}: not a finite nonnegative real", where)
 
     def rows():
         yield ["unit_id", "person_index"] + [sc.name for sc in schemas]

@@ -342,21 +342,62 @@ def test_beta_quantile_inverts_cdf_to_1e10():
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_floored_beta_quantile_is_the_floored_inverse_bit_for_bit(seed):
-    # 4,000 units of 0-3 rows each, (a, b) log-uniform over [1e-6, 1e3]; uniforms mix plain
-    # draws, the sampler's clip bounds and points within 1e-6 relative of the floor's CDF
+    # 4,000 units of 0-3 rows each: (a, b) log-uniform over [1e-6, 1e3] or at the sqrt_n variance
+    # ceiling (a + b = 1/0.999 - 1); uniforms mix plain draws, the sampler's clip bounds and points
+    # within 1e-6 relative of the floor's CDF and of the mass above 1 - 2**-54
     from scipy.special import betainc, betaincinv
 
     from downscale.copula import _floored_beta_quantile
 
     rng = np.random.default_rng(seed)
     a, b = 10.0 ** rng.uniform(-6.0, 3.0, (2, 4_000))
+    mean = 10.0 ** rng.uniform(-4.0, 0.0, 4_000) / 2.0
+    mean = np.where(rng.random(4_000) < 0.5, mean, 1.0 - mean)
+    ceiling = rng.random(4_000) < 0.4
+    a[ceiling], b[ceiling] = solve_beta(mean[ceiling], 1.0)
     counts = rng.integers(0, 4, 4_000)
     a_rows, b_rows = np.repeat(a, counts), np.repeat(b, counts)
     near = betainc(a_rows, b_rows, 1e-12) * (1.0 + rng.uniform(-1e-6, 1e-6, a_rows.size))
-    u = np.choose(rng.integers(0, 4, a_rows.size), [rng.random(a_rows.size), np.full(a_rows.size, 1e-15),
-                                                    np.full(a_rows.size, 1.0 - 1e-15), near])
+    top = 1.0 - betainc(b_rows, a_rows, 2.0**-54) * (1.0 + rng.uniform(-1e-6, 1e-6, a_rows.size))
+    u = np.choose(rng.integers(0, 5, a_rows.size), [rng.random(a_rows.size), np.full(a_rows.size, 1e-15),
+                                                    np.full(a_rows.size, 1.0 - 1e-15), near, top])
     expected = np.maximum(betaincinv(a_rows, b_rows, u), 1e-12)
     np.testing.assert_array_equal(_floored_beta_quantile(a, b, u, counts), expected)
+    # units without rows take no cut, so parameters no row uses do not reach the output
+    a[counts == 0] = b[counts == 0] = np.nan
+    np.testing.assert_array_equal(_floored_beta_quantile(a, b, u, counts), expected)
+    assert _floored_beta_quantile(a, b, np.empty(0), np.zeros_like(counts)).shape == (0,)
+
+
+def test_generate_calls_the_beta_inverse_only_where_its_result_is_unknown(monkeypatch):
+    # the inverse is the costly part of sampling: a draw whose quantile floors to 1e-12 or rounds to
+    # 1.0 takes its unit's cut instead (on the default study most beta cells sit at the variance
+    # ceiling, where most draws round to 1.0); only a uniform within the cuts' 1e-6 relative margin
+    # may still reach the inverse with such a result (one of 3,859 here)
+    from scipy.special import betainc
+
+    from downscale import aggregate, copula, generate
+    from downscale.evaluation import default_study_config, generate_truth
+
+    inverse, calls = copula.betaincinv, []
+
+    def counted(a, b, u):
+        calls.append((a, b, u, inverse(a, b, u)))
+        return calls[-1][-1]
+
+    config = default_study_config()
+    config["units"] = 60
+    truth, schemas = generate_truth(config, stream(3, "truth"))
+    monkeypatch.setattr(copula, "betaincinv", counted)
+    generate(aggregate(truth, schemas), schemas, seed=3, max_train_rows=300)
+    a, b, u, result = map(np.concatenate, zip(*calls))
+    assert result.size > 1_000
+    floored = np.maximum(result, 1e-12) == 1e-12
+    assert not np.any(floored & (u < betainc(a, b, 1e-12) * (1.0 - 1e-6))), "an inverse the floor's cut skips"
+    assert floored.sum() <= 1
+    one = result == 1.0
+    assert not np.any(one & (1.0 - u < betainc(b, a, 2.0**-54) * (1.0 - 1e-6))), "an inverse the cut at 1.0 skips"
+    assert one.sum() <= 1
 
 
 def test_normal_cdf_reference_values():

@@ -267,18 +267,29 @@ def assign_one_row_at_a_time(prob_rows, budget, rngs):
 
 
 # exact zeros, 1e-300 and 5e-324 entries, and rows of 0s and 1s (one-hots among them)
-_ENTRIES = st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 1.0]), st.floats(1e-3, 1.0))
+_SPECIAL_ENTRIES = np.array([0.0, 5e-324, 1e-300, 1.0])
 
 
 @st.composite
 def _assignment_calls(draw):
-    """Units of 0 to 15 rows over 2 to 5 classes; zero-budget classes, one-row units and calls with no rows."""
-    c = draw(st.integers(2, 5))
-    budget = np.array(draw(st.lists(st.lists(st.sampled_from([0, 0, 1, 1, 2, 3]), min_size=c, max_size=c),
-                                    min_size=1, max_size=6)), dtype=np.int64).reshape(-1, c)
+    """Units of 0 to about 30 rows over 2 to 13 classes (the default study's widest feature):
+    zero-budget classes, one-row units, calls with no rows, and a heavy class per unit, so a
+    unit's mask often narrows to one class with rows still pending.  Half the cells are
+    special entries, a quarter of the rows one-hot."""
+    c = draw(st.integers(2, 13))
+    units = draw(st.integers(1, 6))
+    budget = np.array(draw(st.lists(st.sampled_from([0, 0, 1, 1, 2]), min_size=units * c, max_size=units * c)),
+                      dtype=np.int64).reshape(units, c)
+    for u in range(units):
+        budget[u, draw(st.integers(0, c - 1))] += draw(st.sampled_from([0, 1, 3, 8, 15]))
+    seed = draw(st.integers(0, 2**32))
+    rng = np.random.default_rng(seed)
     n = int(budget.sum())
-    rows = np.array(draw(st.lists(_ENTRIES, min_size=n * c, max_size=n * c)), dtype=float).reshape(n, c)
-    return rows, budget, draw(st.integers(0, 2**32))
+    rows = np.where(rng.random((n, c)) < 0.5, _SPECIAL_ENTRIES[rng.integers(0, 4, (n, c))],
+                    rng.uniform(1e-3, 1.0, (n, c)))
+    hot = rng.random(n) < 0.25
+    rows[hot] = np.eye(c)[rng.integers(0, c, int(hot.sum()))]
+    return rows, budget, seed
 
 
 @given(_assignment_calls())

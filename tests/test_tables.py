@@ -293,6 +293,23 @@ def test_write_individual_rejects_unfinalized(tmp_path):
         write_individual_csv(tmp_path / "x.csv", table, schemas)
 
 
+@pytest.mark.parametrize("x, g, message", [
+    ([1.0, 1.0, np.nan], [0, 1, 1], "bad value 'nan' in column 'x', unit 'B': not a finite nonnegative real"),
+    ([1.0, -1.0, 0.0], [0, 1, 1], "bad value '-1.0' in column 'x', unit 'B': not a finite nonnegative real"),
+    ([1.0, 1.0, 0.0], [-1, 1, 1], r"class index -1 of 'g' outside \[0, 2\) in unit 'A'"),
+    ([1.0, 1.0, 0.0], [0, 1, 5], r"class index 5 of 'g' outside \[0, 2\) in unit 'B'"),
+], ids=["nan", "negative", "index-minus-one", "index-past-the-classes"])
+def test_write_individual_rejects_what_the_loader_rejects(tmp_path, x, g, message):
+    # each of these cells used to be written (a class index of -1 as the last label) or to raise a raw
+    # IndexError; the loader would reject the first two files
+    schemas = make_schemas([("g", 2, 0), ("x", None, 0)])
+    table = IndividualTable(["A", "B"], [1, 2], {"g": np.array(g), "x": np.array(x)})
+    path = tmp_path / "x.csv"
+    with pytest.raises(DataError, match=rf"^write_individual_csv: {message}$"):
+        write_individual_csv(path, table, schemas)
+    assert not path.exists()
+
+
 FAULT_SCHEMA = parse_schema([
     {"name": "edu", "kind": "categorical", "classes": ["a", "b", "c"]},
     {"name": "own", "kind": "categorical", "classes": ["yes", "no"]},
