@@ -58,10 +58,7 @@ def score_units(coarse: CoarseTable, schemas: list[FeatureSchema]) -> OutlierRep
     """Score every unit; with fewer than 10 units scoring is skipped."""
     if len(coarse.unit_ids) < MIN_UNITS_FOR_SCORING:
         return OutlierReport(dict.fromkeys(coarse.unit_ids, 0.0), skipped=True)
-    values = coarse.matrix(schemas)
-    if not np.all(np.isfinite(values)):
-        raise DataError("score_units: non-finite coarse values")
-    scores = score_matrix(values)
+    scores = score_matrix(coarse.matrix(schemas))
     return OutlierReport(dict(zip(coarse.unit_ids, scores.tolist())))
 
 

@@ -12,10 +12,10 @@ feature holding a class label or a nonnegative real.
 from __future__ import annotations
 
 import csv
-from collections import Counter
 from collections.abc import Mapping
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain, repeat
 from pathlib import Path
 from types import MappingProxyType
@@ -44,19 +44,42 @@ class CoarseTable:
     """Aggregates of every unit, each feature stored once as one read-only array over all
     units in unit order (units x classes proportions, or means); ``populations`` and the
     float64 arrays of ``columns`` are kept without copying.  ``unit(unit_id)`` and ``units``
-    build views on each call, whose ``values`` hold read-only rows (and float means)."""
+    build views on each call, whose ``values`` hold read-only rows (and float means).
+    A population below 1, a mean that is not finite and nonnegative, a proportion not finite
+    in [0, 1], or k proportions summing to off one by more than (k // 2) * 1e-3 is a
+    ``DataError`` naming the unit; a smaller deviation is renormalized into a new array."""
 
     def __init__(self, unit_ids: list[str], populations, columns: Mapping[str, np.ndarray]):
         self.unit_ids = list(unit_ids)
         self._rows = {unit_id: i for i, unit_id in enumerate(self.unit_ids)}
         if len(self._rows) != len(self.unit_ids):
-            repeated = Counter(self.unit_ids).most_common(1)[0][0]
-            raise DataError(f"CoarseTable: more than one unit {repeated!r}")
-        self.populations = np.asarray(populations, dtype=np.int64)  # one per unit, in unit order
+            raise DataError(f"CoarseTable: more than one unit {_first_repeat(self.unit_ids)!r}")
+        self.populations = n = np.asarray(populations, dtype=np.int64)  # one per unit, in unit order
         self._columns = {name: np.asarray(values, dtype=float) for name, values in columns.items()}
-        for name, values in [("population", self.populations), *self._columns.items()]:
+        for name, values in [("population", n), *self._columns.items()]:
             if values.shape[:1] != (len(self.unit_ids),):
                 raise DataError(f"CoarseTable: {name!r} has shape {values.shape} for {len(self.unit_ids)} units")
+        u, reject = self.unit_ids, partial(_reject, "CoarseTable")
+        reject(n < 1, lambda i: f"unit {u[i]!r} has population {n[i]} < 1")
+        for name, x in self._columns.items():
+            if x.ndim == 1:
+                reject(~np.isfinite(x), lambda i: f"non-finite mean for {name!r} in unit {u[i]!r}")
+                reject(x < 0.0, lambda i: f"negative mean {x[i]} for continuous feature {name!r} in unit {u[i]!r}")
+                continue
+            reject(~np.isfinite(x).all(axis=1), lambda i: f"non-finite proportion for {name!r} in {u[i]!r}")
+            reject(((x < 0.0) | (x > 1.0)).any(axis=1),
+                   lambda i: f"proportion outside [0, 1] for {name!r} in unit {u[i]!r}")
+            totals = x.sum(axis=1)
+            tol = x.shape[1] // 2 * PROPORTION_SUM_TOL
+            # the 1e-12 absorbs the float error of summing decimal cells
+            reject(np.abs(totals - 1.0) > tol + 1e-12,
+                   lambda i: f"proportions of {name!r} in unit {u[i]!r} sum to {totals[i]:.6f} (tolerance {tol:g})")
+            # renormalize rounded published proportions, but leave float noise
+            # alone so write -> load is the exact identity
+            off = np.abs(totals - 1.0) > 1e-12
+            if off.any():
+                self._columns[name] = np.where(off[:, None], x / totals[:, None], x)
+        for values in [n, *self._columns.values()]:
             values.flags.writeable = False
 
     def __reduce__(self):
@@ -120,8 +143,7 @@ class IndividualTable:
         self.unit_ids = list(unit_ids)
         self._rows = {unit_id: i for i, unit_id in enumerate(self.unit_ids)}
         if len(self._rows) != len(self.unit_ids):
-            repeated = Counter(self.unit_ids).most_common(1)[0][0]
-            raise DataError(f"IndividualTable: more than one unit {repeated!r}")
+            raise DataError(f"IndividualTable: more than one unit {_first_repeat(self.unit_ids)!r}")
         self.sizes = np.array(sizes, dtype=np.int64)  # per-unit row counts
         if self.sizes.shape != (len(self.unit_ids),):
             raise DataError(f"IndividualTable: {self.sizes.size} sizes for {len(self.unit_ids)} units")
@@ -182,20 +204,29 @@ class IndividualTable:
         self._sd.pop(name, None)
         self.__dict__.pop("blocks", None)
 
-    def is_finalized(self, schemas: list[FeatureSchema]) -> bool:
-        return not self.unit_ids or all(
-            sc.name in self._columns and (not sc.is_categorical or self._columns[sc.name].ndim == 1)
-            for sc in schemas
-        )
+    def check_finalized(self, schemas: list[FeatureSchema]) -> None:
+        """Raise ``DataError`` naming the feature and unit unless each feature of ``schemas`` holds one class index
+        in [0, k) or finite nonnegative real per row (``set_column`` checks no cell: phase 3 stores negatives)."""
+        ends, reject = np.cumsum(self.sizes), partial(_reject, "IndividualTable")
+
+        def unit(i):
+            return self.unit_ids[int(np.searchsorted(ends, i, side="right"))]
+
+        for sc in schemas:
+            col = self._columns.get(sc.name)
+            if col is None or col.ndim != 1:
+                raise DataError(f"IndividualTable: feature {sc.name!r} is missing or has unfinalized cells")
+            if sc.is_categorical:
+                reject((col < 0) | (col >= sc.n_classes),
+                       lambda i: f"class index {col[i]} of {sc.name!r} outside [0, {sc.n_classes}) in unit {unit(i)!r}")
+            else:
+                reject(~np.isfinite(col) | (col < 0.0), lambda i: f"bad value {repr(float(col[i]))!r} in column "
+                       f"{sc.name!r}, unit {unit(i)!r}: not a finite nonnegative real")
 
 
 def load_coarse_csv(path: str | Path, schemas: list[FeatureSchema]) -> CoarseTable:
-    """Read a coarse CSV into a validated CoarseTable.
-
-    Proportion vectors of k classes within (k // 2) * 1e-3 of summing to
-    one are renormalized; larger deviations are rejected.  Binary
-    categorical features may be given as a single column holding the first
-    class's proportion.
+    """Read a coarse CSV into a CoarseTable, whose constructor checks the cells.  Binary
+    categorical features may be given as a single column holding the first class's proportion.
     """
     position, columns = _read_csv(path, "load_coarse_csv")
     for name in ("unit_id", "population"):
@@ -218,49 +249,39 @@ def load_coarse_csv(path: str | Path, schemas: list[FeatureSchema]) -> CoarseTab
                 f"(expected {class_cols} or a single binary column)"
             )
     unit_ids = columns[position["unit_id"]]
-    if len(set(unit_ids)) != len(unit_ids):
-        repeated = Counter(unit_ids).most_common(1)[0][0]
-        raise DataError(f"load_coarse_csv: {path} has more than one row for unit {repeated!r}")
 
     def parse(convert, column):
         return _parse_column(convert, columns[position[column]], column, "load_coarse_csv", unit_ids)
 
     populations = np.array(parse(np.int64, "population"))  # a count past int64 is a bad value
-    _reject(populations < 1, lambda i: f"unit {unit_ids[i]!r} has population {populations[i]} < 1")
     values = {}
     for sc, cols in zip(schemas, sources):
-        if not sc.is_categorical:
-            x = np.array(parse(float, sc.name))
-            _reject(~np.isfinite(x), lambda i: f"non-finite mean for {sc.name!r} in unit {unit_ids[i]!r}")
-            _reject(x < 0.0, lambda i: f"negative mean {x[i].item()} for continuous feature {sc.name!r} "
-                                       f"in unit {unit_ids[i]!r}")
-            values[sc.name] = x
-            continue
-        x = np.column_stack([parse(float, col) for col in cols])
-        if len(cols) == 1:
-            x = np.column_stack([x[:, 0], 1.0 - x[:, 0]])
-        _reject(~np.isfinite(x).all(axis=1),
-                lambda i: f"non-finite proportion for {sc.name!r} in {unit_ids[i]!r}")
-        _reject(((x < 0.0) | (x > 1.0)).any(axis=1),
-                lambda i: f"proportion outside [0, 1] for {sc.name!r} in unit {unit_ids[i]!r}")
-        totals = x.sum(axis=1)
-        tol = sc.n_classes // 2 * PROPORTION_SUM_TOL
-        # the 1e-12 absorbs the float error of summing decimal cells
-        _reject(np.abs(totals - 1.0) > tol + 1e-12,
-                lambda i: f"proportions of {sc.name!r} in unit {unit_ids[i]!r} sum to {totals[i]:.6f} "
-                          f"(tolerance {tol:g})")
-        # renormalize rounded published proportions, but leave float noise
-        # alone so write -> load is the exact identity
-        off = np.abs(totals - 1.0) > 1e-12
-        x[off] = x[off] / totals[off, None]
-        values[sc.name] = x
-    return CoarseTable(unit_ids, populations, values)
+        values[sc.name] = x = np.column_stack([parse(float, col) for col in cols])
+        if len(cols) == 1:  # a mean, or a binary feature's first proportion
+            values[sc.name] = np.column_stack([x[:, 0], 1.0 - x[:, 0]]) if sc.is_categorical else x[:, 0]
+    with _named("load_coarse_csv"):
+        return CoarseTable(unit_ids, populations, values)
 
 
-def _reject(bad: np.ndarray, message, where: str = "load_coarse_csv") -> None:
+def _reject(where: str, bad: np.ndarray, message) -> None:
     """Raise for the first row flagged in ``bad``; ``message(i)`` describes row i's fault."""
     if bad.any():
         raise DataError(f"{where}: {message(int(np.argmax(bad)))}")
+
+
+@contextmanager
+def _named(where: str):
+    """Raise a table's ``DataError`` under ``where`` in place of the table's class name."""
+    try:
+        yield
+    except DataError as exc:
+        raise DataError(f"{where}: {str(exc).partition(': ')[2]}") from None
+
+
+def _first_repeat(ids):
+    """The first id that repeats an earlier one, or None."""
+    seen = set()
+    return next((name for name in ids if name in seen or seen.add(name)), None)  # add returns None
 
 
 def _read_csv(path: str | Path, where: str) -> tuple[dict[str, int], list[tuple[str, ...]]]:
@@ -278,8 +299,7 @@ def _read_csv(path: str | Path, where: str) -> tuple[dict[str, int], list[tuple[
         if header is None:
             raise DataError(f"{where}: {path} is empty (no header row)")
         if len(set(header)) != len(header):
-            repeated = Counter(header).most_common(1)[0][0]
-            raise DataError(f"{where}: {path} names column {repeated!r} more than once")
+            raise DataError(f"{where}: {path} names column {_first_repeat(header)!r} more than once")
         rows = []
         for row in reader:
             if len(row) != len(header):
@@ -333,48 +353,27 @@ def aggregate(individuals: IndividualTable, schemas: list[FeatureSchema]) -> Coa
     empty = np.flatnonzero(sizes == 0)[:1]
     if empty.size:
         raise DataError(f"aggregate: unit {unit_ids[empty[0]]!r} has no rows")
+    with _named("aggregate"):
+        individuals.check_finalized(schemas)
     code = np.repeat(np.arange(len(unit_ids)), sizes)
     heads = np.cumsum(sizes) - sizes
     columns = {}
     for sc in schemas:
-        if not individuals.is_finalized([sc]):
-            raise DataError(f"aggregate: feature {sc.name!r} is missing or has unfinalized cells")
         col = individuals.column(sc.name)
         if not sc.is_categorical:
             columns[sc.name] = np.add.reduceat(col, heads) / sizes
             continue
-        outside = np.flatnonzero((col < 0) | (col >= sc.n_classes))[:1]
-        if outside.size:
-            raise DataError(f"aggregate: class index {col[outside[0]]} of {sc.name!r} outside "
-                            f"[0, {sc.n_classes}) in unit {unit_ids[code[outside[0]]]!r}")
         counts = np.bincount(code * sc.n_classes + col, minlength=len(unit_ids) * sc.n_classes)
         columns[sc.name] = counts.reshape(-1, sc.n_classes) / sizes[:, None]
     return CoarseTable(unit_ids, sizes, columns)
 
 
 def write_individual_csv(path: str | Path, table: IndividualTable, schemas: list[FeatureSchema]) -> None:
-    """Write a finalized individual table (class labels, float reprs).
-
-    A cell ``load_individual_csv`` would reject, a class index outside [0, k) or a
-    continuous cell that is not a finite nonnegative real, raises ``DataError`` naming
-    the feature and the unit before the file is opened.
-    """
-    where = "write_individual_csv"
-    if not table.is_finalized(schemas):
-        raise DataError(f"{where}: table contains unfinalized cells")
-    ends = np.cumsum(table.sizes)
-
-    def unit(i):
-        return table.unit_ids[int(np.searchsorted(ends, i, side="right"))]
-
-    for sc in schemas:
-        col = table.column(sc.name)
-        if sc.is_categorical:
-            _reject((col < 0) | (col >= sc.n_classes), lambda i: f"class index {col[i]} of {sc.name!r} outside "
-                    f"[0, {sc.n_classes}) in unit {unit(i)!r}", where)
-        else:
-            _reject(~np.isfinite(col) | (col < 0.0), lambda i: f"bad value {repr(float(col[i]))!r} in column "
-                    f"{sc.name!r}, unit {unit(i)!r}: not a finite nonnegative real", where)
+    """Write a finalized individual table (class labels, float reprs); a table that fails
+    ``check_finalized``, whose cells ``load_individual_csv`` would reject, raises before the
+    file is opened."""
+    with _named("write_individual_csv"):
+        table.check_finalized(schemas)
 
     def rows():
         yield ["unit_id", "person_index"] + [sc.name for sc in schemas]
@@ -432,7 +431,8 @@ def load_individual_csv(path: str | Path, schemas: list[FeatureSchema]) -> Indiv
                                 f"in unit {unit_col[texts.index(label)]!r}") from None
         else:
             col = np.array(_parse_column(float, texts, sc.name, where, unit_col), dtype=float)
-            _reject(~np.isfinite(col) | (col < 0.0), lambda i: f"bad value {texts[i]!r} in column {sc.name!r}, "
-                    f"unit {unit_col[i]!r}: not a finite nonnegative real", where)
         cells[sc.name] = col[order]
-    return IndividualTable(unit_ids, np.bincount(codes), cells, person_index)
+    table = IndividualTable(unit_ids, np.bincount(codes), cells, person_index)
+    with _named(where):
+        table.check_finalized(schemas)
+    return table

@@ -174,13 +174,11 @@ def test_supplied_model_must_match_units(tmp_path):
 
 
 def test_errors_carry_phase_names(monkeypatch):
+    # a supplied model that lacks a coarse unit
     schemas = make_schemas([("x", None, 0), ("a", 2, 0)])
-    units = [
-        AggregationUnit(f"u{i}", 10, {"x": -1.0, "a": np.array([0.4, 0.6])})
-        for i in range(12)
-    ]
-    with pytest.raises(EstimationError, match="phase2/copula"):
-        generate(stack_units(units), schemas, seed=0)
+    fitted = generate(make_coarse(schemas, [10] * 12), schemas, seed=0)
+    with pytest.raises(DataError, match=r"^phase2/copula: copula model lacks marginals for units \['u0012'\]$"):
+        generate(make_coarse(schemas, [10] * 13), schemas, seed=0, model=fitted.model, predictors=fitted.predictors)
     # a predictor that cannot converge within its iteration cap
     schemas = make_schemas([("a", 3, 0), ("t", 4, 1)])
     monkeypatch.setattr(batching, "MAX_ITER", 1)

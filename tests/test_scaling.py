@@ -213,7 +213,13 @@ def test_sequential_law_sums_to_one():
 def test_assign_follows_the_sequential_masked_law(case):
     rows, budget = LAW_CASES[case]
     rows, budget = np.array(rows), np.array(budget)
-    outcomes = [tuple(assign_categories(rows, budget, stream(seed, "law")).tolist()) for seed in range(LAW_SEEDS)]
+    # one call over LAW_SEEDS units of the case, unit s drawing from stream(s, "law")
+    out = assign_categories(np.tile(rows, (LAW_SEEDS, 1)), np.tile(budget, (LAW_SEEDS, 1)),
+                            [stream(seed, "law") for seed in range(LAW_SEEDS)])
+    outcomes = list(map(tuple, out.reshape(LAW_SEEDS, -1).tolist()))
+    # each unit's classes are those of a call of its own
+    assert outcomes[:500] == [tuple(assign_categories(rows, budget, stream(seed, "law")).tolist())
+                              for seed in range(500)]
     assert chi_square_p(outcomes, sequential_law(rows, budget)) > LAW_LEVEL
 
 

@@ -14,22 +14,44 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from downscale import generate
+from conftest import make_coarse, make_schemas
+
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
-def test_every_trace_target_resolves(monkeypatch):
+@pytest.fixture
+def workloads(monkeypatch):
+    """``perfbench/workloads.py`` as a module."""
     spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    workloads = importlib.util.module_from_spec(spec)
+    module = importlib.util.module_from_spec(spec)
     # dataclasses look their module up in sys.modules while the file executes
-    monkeypatch.setitem(sys.modules, spec.name, workloads)
-    spec.loader.exec_module(workloads)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_trace_target_resolves(workloads):
     missing = []
     for module_name, attr, _, _ in workloads.TRACE_TARGETS:
-        module = workloads if module_name == spec.name else importlib.import_module(module_name)
+        module = workloads if module_name == workloads.__name__ else importlib.import_module(module_name)
         if not callable(getattr(module, attr, None)):
             missing.append(f"{module_name}.{attr}")
     assert workloads.TRACE_TARGETS
     assert missing == []
+
+
+def test_check_table_names_a_flipped_class(workloads):
+    # the benchmark's correctness check must see one class moved off its unit's budget
+    schemas = make_schemas([("a", 3, 0), ("x", None, 0), ("b", 2, 1)])
+    coarse = make_coarse(schemas, [7, 19, 33, 12, 25, 48, 11, 16, 21, 30, 14, 9])
+    table = generate(coarse, schemas, seed=1).table
+    assert workloads.check_table(table, coarse, schemas) == []
+    flipped = table.column("b").copy()
+    flipped[0] = 1 - flipped[0]
+    table.set_column("b", flipped)
+    problems = workloads.check_table(table, coarse, schemas)
+    assert len(problems) == 1 and problems[0].startswith("u0000/b: counts "), problems
 
 
 PERFBENCH = WORKLOADS.parent
